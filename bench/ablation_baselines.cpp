@@ -10,15 +10,14 @@
 
 #include "analysis/paper_experiments.h"
 #include "analysis/sweep.h"
-#include "bench_json.h"
-#include "exp/parallel_runner.h"
+#include "bench_common.h"
 #include "workloads/repartition.h"
 
 using namespace hpcs;
 using analysis::SchedMode;
 
 int main(int argc, char** argv) {
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
+  const unsigned jobs = bench::parse_options(argc, argv, /*jobs_only=*/true).jobs;
   std::printf("=== Solution groups of the related work (paper II-A) ===\n\n");
 
   // The same intrinsic 4:1 imbalance everywhere.

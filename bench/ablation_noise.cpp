@@ -13,14 +13,13 @@
 #include <vector>
 
 #include "analysis/paper_experiments.h"
-#include "bench_json.h"
-#include "exp/parallel_runner.h"
+#include "bench_common.h"
 
 using namespace hpcs;
 using analysis::SchedMode;
 
 int main(int argc, char** argv) {
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
+  const unsigned jobs = bench::parse_options(argc, argv, /*jobs_only=*/true).jobs;
   std::printf("=== Noise sweep: burst length at fixed 10ms period ===\n\n");
 
   auto siesta = analysis::SiestaExperiment::paper();

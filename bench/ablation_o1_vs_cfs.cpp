@@ -13,8 +13,7 @@
 #include <vector>
 
 #include "analysis/paper_experiments.h"
-#include "bench_json.h"
-#include "exp/parallel_runner.h"
+#include "bench_common.h"
 
 using namespace hpcs;
 using analysis::SchedMode;
@@ -31,7 +30,7 @@ analysis::RunResult run(SchedMode mode, kern::FairScheduler fs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
+  const unsigned jobs = bench::parse_options(argc, argv, /*jobs_only=*/true).jobs;
   std::printf("=== O(1) vs CFS as the underlying fair scheduler ===\n\n");
 
   auto mb = analysis::MetBenchExperiment::paper();

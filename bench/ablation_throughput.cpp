@@ -12,15 +12,14 @@
 #include <vector>
 
 #include "analysis/paper_experiments.h"
-#include "bench_json.h"
-#include "exp/parallel_runner.h"
+#include "bench_common.h"
 #include "power5/throughput.h"
 
 using namespace hpcs;
 using analysis::SchedMode;
 
 int main(int argc, char** argv) {
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
+  const unsigned jobs = bench::parse_options(argc, argv, /*jobs_only=*/true).jobs;
 
   // --- 1. Characterization curve --------------------------------------------
   std::printf("=== Ablation 1: speed vs decode share (priority pair sweep) ===\n");

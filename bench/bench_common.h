@@ -1,14 +1,15 @@
 #pragma once
-// Shared reporting helpers for the table-reproduction benches: print each
-// experiment in the paper's table layout next to the paper's own numbers,
-// summarize the headline improvements, and fan the per-mode runs across the
-// parallel experiment engine (--jobs N / HPCS_JOBS; results are committed in
-// mode order, so output is bit-identical to the serial drivers).
+// Shared helpers for the bench drivers: one command-line parse for every
+// driver (Options), fanning the per-mode runs across the parallel experiment
+// engine (results are committed in mode order, so output is bit-identical to
+// the serial drivers), and the table layout that prints each experiment next
+// to the paper's own numbers.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/paper_experiments.h"
@@ -22,8 +23,26 @@
 
 namespace hpcs::bench {
 
-/// Observability knobs shared by the bench drivers. Off by default so the
-/// golden numbers are unaffected; switched on by flag or environment:
+/// Observability knobs: off by default so the golden numbers are
+/// unaffected; switched on by the --obs* flags / HPCS_OBS* variables listed
+/// under Options below.
+struct ObsOptions {
+  obs::ObsConfig cfg;
+  std::string trace_path;
+  std::string ring_dump_path;
+};
+
+/// Every flag a bench driver accepts, parsed once at the top of main() by
+/// parse_options(). Environment variables apply first; flags override them.
+///   --jobs N / --jobs=N / HPCS_JOBS=N
+///                                 worker count of the parallel experiment
+///                                 engine (exp::parse_jobs_flag). Results are
+///                                 committed in submission order, so output
+///                                 is byte-identical for every N. A malformed
+///                                 value exits 2.
+///   --log-level LEVEL / HPCS_LOG_LEVEL=LEVEL
+///                                 runtime log threshold. An unknown level
+///                                 warns and keeps the current threshold.
 ///   --obs / HPCS_OBS=1            metrics registry + tracepoint rings,
 ///                                 MANIFEST_<name>.json (+ .host.json sidecar)
 ///   --obs-trace PATH / HPCS_OBS_TRACE=PATH
@@ -34,10 +53,10 @@ namespace hpcs::bench {
 ///                                 per-CPU tracepoint ring capacity in
 ///                                 entries; must be a power of two (the ring
 ///                                 wraps with a mask). Default 4096. An
-///                                 invalid value aborts with exit code 2
-///                                 rather than silently rounding — a bench
-///                                 that drops a different number of trace
-///                                 entries than asked for is not comparable.
+///                                 invalid value exits 2 rather than silently
+///                                 rounding — a bench that drops a different
+///                                 number of trace entries than asked for is
+///                                 not comparable.
 ///   --obs-trace-stream / HPCS_OBS_TRACE_STREAM=1
 ///                                 spool Chrome-trace records to disk during
 ///                                 capture instead of buffering them in
@@ -53,106 +72,102 @@ namespace hpcs::bench {
 ///                                 window boundaries of NS nanoseconds into
 ///                                 the manifest's per-window series (schema
 ///                                 hpcs-obs-manifest-v2; implies --obs). The
-///                                 series is byte-identical serial vs --jobs N
-///                                 vs --dist, so scripts/manifest_diff.py can
-///                                 flag mid-run anomalies that identical
-///                                 totals hide. An invalid value aborts with
-///                                 exit code 2.
-struct ObsOptions {
-  obs::ObsConfig cfg;
-  std::string trace_path;
-  std::string ring_dump_path;
+///                                 series is byte-identical serial vs --jobs N,
+///                                 so scripts/manifest_diff.py can flag
+///                                 mid-run anomalies that identical totals
+///                                 hide. An invalid value exits 2.
+/// Any other argument exits 2: a leftover or misspelt flag must fail loudly,
+/// not run a different experiment than the one asked for.
+struct Options {
+  unsigned jobs = 1;
+  ObsOptions obs;
 };
 
-inline ObsOptions parse_obs_options(int argc, char** argv) {
-  ObsOptions o;
+/// Parse argv and the environment into Options. The ablation drivers take
+/// only --jobs (`jobs_only`): every other flag is then unknown, and
+/// HPCS_LOG_LEVEL / HPCS_OBS* are not read.
+inline Options parse_options(int argc, char** argv, bool jobs_only = false) {
+  Options o;
+  ObsOptions& ob = o.obs;
+  auto fail = [](const char* origin, const std::string& error) {
+    std::fprintf(stderr, "error: %s: %s\n", origin, error.c_str());
+    std::exit(2);
+  };
   auto set_ring = [&](const char* text, const char* origin) {
     std::string error;
-    if (!obs::parse_ring_capacity(text, o.cfg.ring_capacity, error)) {
-      std::fprintf(stderr, "error: %s: %s\n", origin, error.c_str());
-      std::exit(2);
-    }
+    if (!obs::parse_ring_capacity(text, ob.cfg.ring_capacity, error)) fail(origin, error);
   };
   auto set_window = [&](const char* text, const char* origin) {
     std::string error;
-    if (!obs::parse_window_ns(text, o.cfg.window_ns, error)) {
-      std::fprintf(stderr, "error: %s: %s\n", origin, error.c_str());
-      std::exit(2);
+    if (!obs::parse_window_ns(text, ob.cfg.window_ns, error)) fail(origin, error);
+  };
+  auto apply_log_level = [](const char* text) {
+    LogLevel lvl;
+    if (parse_log_level(text, lvl)) {
+      set_log_level(lvl);
+    } else {
+      std::fprintf(stderr, "warning: unknown log level '%s'\n", text);
     }
   };
-  if (const char* env = std::getenv("HPCS_OBS")) {
-    if (env[0] != '\0' && std::strcmp(env, "0") != 0) o.cfg.enabled = true;
-  }
-  if (const char* env = std::getenv("HPCS_OBS_TRACE")) {
-    if (env[0] != '\0') o.trace_path = env;
-  }
-  if (const char* env = std::getenv("HPCS_OBS_TRACE_STREAM")) {
-    if (env[0] != '\0' && std::strcmp(env, "0") != 0) o.cfg.chrome_stream = true;
-  }
-  if (const char* env = std::getenv("HPCS_OBS_RING")) {
-    if (env[0] != '\0') set_ring(env, "HPCS_OBS_RING");
-  }
-  if (const char* env = std::getenv("HPCS_OBS_RING_DUMP")) {
-    if (env[0] != '\0') o.ring_dump_path = env;
-  }
-  if (const char* env = std::getenv("HPCS_OBS_WINDOW")) {
-    if (env[0] != '\0') set_window(env, "HPCS_OBS_WINDOW");
-  }
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--obs") == 0) {
-      o.cfg.enabled = true;
-    } else if (std::strcmp(a, "--obs-trace") == 0 && i + 1 < argc) {
-      o.trace_path = argv[i + 1];
-    } else if (std::strncmp(a, "--obs-trace=", 12) == 0) {
-      o.trace_path = a + 12;
-    } else if (std::strcmp(a, "--obs-trace-stream") == 0) {
-      o.cfg.chrome_stream = true;
-    } else if (std::strcmp(a, "--obs-ring-dump") == 0 && i + 1 < argc) {
-      o.ring_dump_path = argv[i + 1];
-    } else if (std::strncmp(a, "--obs-ring-dump=", 16) == 0) {
-      o.ring_dump_path = a + 16;
-    } else if (std::strcmp(a, "--obs-ring") == 0 && i + 1 < argc) {
-      set_ring(argv[++i], "--obs-ring");
-    } else if (std::strncmp(a, "--obs-ring=", 11) == 0) {
-      set_ring(a + 11, "--obs-ring");
-    } else if (std::strcmp(a, "--obs-window") == 0 && i + 1 < argc) {
-      set_window(argv[++i], "--obs-window");
-    } else if (std::strncmp(a, "--obs-window=", 13) == 0) {
-      set_window(a + 13, "--obs-window");
-    }
-  }
-  if (!o.trace_path.empty()) {
-    o.cfg.enabled = true;
-    o.cfg.chrome_trace = true;
-  }
-  if (!o.ring_dump_path.empty()) o.cfg.enabled = true;
-  if (o.cfg.window_ns > 0) o.cfg.enabled = true;
-  return o;
-}
+  auto env = [](const char* name) -> const char* {
+    const char* v = std::getenv(name);
+    return v != nullptr && v[0] != '\0' ? v : nullptr;
+  };
+  auto env_on = [&](const char* name) {
+    const char* v = env(name);
+    return v != nullptr && std::strcmp(v, "0") != 0;
+  };
 
-/// Wire the runtime log threshold: HPCS_LOG_LEVEL first, then --log-level
-/// LEVEL / --log-level=LEVEL so the flag wins. Unknown levels warn and keep
-/// the current threshold rather than aborting a long bench run.
-inline void init_logging(int argc, char** argv) {
-  init_log_level_from_env();
+  if (!jobs_only) {
+    init_log_level_from_env();
+    ob.cfg.enabled = env_on("HPCS_OBS");
+    ob.cfg.chrome_stream = env_on("HPCS_OBS_TRACE_STREAM");
+    if (const char* v = env("HPCS_OBS_TRACE")) ob.trace_path = v;
+    if (const char* v = env("HPCS_OBS_RING")) set_ring(v, "HPCS_OBS_RING");
+    if (const char* v = env("HPCS_OBS_RING_DUMP")) ob.ring_dump_path = v;
+    if (const char* v = env("HPCS_OBS_WINDOW")) set_window(v, "HPCS_OBS_WINDOW");
+  }
+
   for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    const char* val = nullptr;
-    if (std::strcmp(a, "--log-level") == 0 && i + 1 < argc) {
-      val = argv[i + 1];
-    } else if (std::strncmp(a, "--log-level=", 12) == 0) {
-      val = a + 12;
-    }
-    if (val != nullptr) {
-      LogLevel lvl;
-      if (parse_log_level(val, lvl)) {
-        set_log_level(lvl);
-      } else {
-        std::fprintf(stderr, "warning: unknown log level '%s'\n", val);
-      }
+    const std::string_view a = argv[i];
+    const std::size_t eq = a.find('=');
+    const std::string_view name = a.substr(0, eq);
+    // The value of `--name VALUE` / `--name=VALUE`; a missing one exits 2.
+    auto value = [&]() -> const char* {
+      if (eq != std::string_view::npos) return argv[i] + eq + 1;
+      if (i + 1 >= argc) fail(argv[i], "missing value");
+      return argv[++i];
+    };
+    if (name == "--jobs") {
+      (void)value();  // checked by exp::parse_jobs_flag below
+    } else if (jobs_only) {
+      fail(argv[i], "unknown option");
+    } else if (name == "--log-level") {
+      apply_log_level(value());
+    } else if (a == "--obs") {
+      ob.cfg.enabled = true;
+    } else if (a == "--obs-trace-stream") {
+      ob.cfg.chrome_stream = true;
+    } else if (name == "--obs-trace") {
+      ob.trace_path = value();
+    } else if (name == "--obs-ring-dump") {
+      ob.ring_dump_path = value();
+    } else if (name == "--obs-ring") {
+      set_ring(value(), "--obs-ring");
+    } else if (name == "--obs-window") {
+      set_window(value(), "--obs-window");
+    } else {
+      fail(argv[i], "unknown option");
     }
   }
+  o.jobs = exp::parse_jobs_flag(argc, argv);
+  if (!ob.trace_path.empty()) {
+    ob.cfg.enabled = true;
+    ob.cfg.chrome_trace = true;
+  }
+  if (!ob.ring_dump_path.empty()) ob.cfg.enabled = true;
+  if (ob.cfg.window_ns > 0) ob.cfg.enabled = true;
+  return o;
 }
 
 /// Run one experiment per mode through the parallel engine; results come

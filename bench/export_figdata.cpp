@@ -51,9 +51,8 @@ void export_run(const std::string& dir, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  bench::FigObs fobs("export_figdata", bench::parse_obs_options(argc, argv));
+  const bench::Options opt = bench::parse_options(argc, argv);
+  bench::FigObs fobs("export_figdata", opt.obs);
   const std::string dir = "bench_data";
   std::filesystem::create_directories(dir);
   std::printf("=== exporting figure data to ./%s ===\n", dir.c_str());
@@ -88,7 +87,7 @@ int main(int argc, char** argv) {
        [&] { return analysis::run_siesta(siesta, SchedMode::kUniform, true, 1, fobs.cfg()); }},
   };
 
-  exp::ParallelRunner runner(jobs);
+  exp::ParallelRunner runner(opt.jobs);
   auto results = runner.map(exports.size(), [&](std::size_t i) { return exports[i].run(); });
   for (std::size_t i = 0; i < exports.size(); ++i) {
     export_run(dir, exports[i].name, results[i]);

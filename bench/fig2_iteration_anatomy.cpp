@@ -12,9 +12,8 @@
 int main(int argc, char** argv) {
   using namespace hpcs;
 
-  bench::init_logging(argc, argv);
-  bench::reject_dist_unsupported(argc, argv);
-  bench::FigObs fobs("fig2_iteration_anatomy", bench::parse_obs_options(argc, argv));
+  const bench::Options opt = bench::parse_options(argc, argv);
+  bench::FigObs fobs("fig2_iteration_anatomy", opt.obs);
   auto e = analysis::MetBenchExperiment::paper();
   e.workload.iterations = 6;
   auto r = analysis::run_metbench(e, analysis::SchedMode::kUniform, /*trace=*/true,

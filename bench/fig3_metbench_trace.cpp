@@ -13,10 +13,8 @@ int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  bench::init_logging(argc, argv);
-  bench::reject_dist_unsupported(argc, argv);
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  bench::FigObs fobs("fig3_metbench", bench::parse_obs_options(argc, argv));
+  const bench::Options opt = bench::parse_options(argc, argv);
+  bench::FigObs fobs("fig3_metbench", opt.obs);
   auto e = analysis::MetBenchExperiment::paper();
   e.workload.iterations = 12;  // enough iterations to see the pattern clearly
 
@@ -29,7 +27,7 @@ int main(int argc, char** argv) {
   for (const auto& [mode, label] : figures) modes.push_back(mode);
 
   std::printf("=== Figure 3: effect of the proposed solution on MetBench ===\n\n");
-  auto results = bench::run_modes(jobs, modes, [&e, &fobs](SchedMode m) {
+  auto results = bench::run_modes(opt.jobs, modes, [&e, &fobs](SchedMode m) {
     return analysis::run_metbench(e, m, /*trace=*/true, /*seed=*/1, fobs.cfg());
   });
   for (std::size_t i = 0; i < figures.size(); ++i) {

@@ -11,10 +11,8 @@ int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  bench::init_logging(argc, argv);
-  bench::reject_dist_unsupported(argc, argv);
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  bench::FigObs fobs("fig5_btmz", bench::parse_obs_options(argc, argv));
+  const bench::Options opt = bench::parse_options(argc, argv);
+  bench::FigObs fobs("fig5_btmz", opt.obs);
   auto e = analysis::BtMzExperiment::paper();
   e.workload.iterations = 60;  // a representative window
 
@@ -27,7 +25,7 @@ int main(int argc, char** argv) {
   for (const auto& [mode, label] : figures) modes.push_back(mode);
 
   std::printf("=== Figure 5: effect of the proposed solution on BT-MZ ===\n\n");
-  auto results = bench::run_modes(jobs, modes, [&e, &fobs](SchedMode m) {
+  auto results = bench::run_modes(opt.jobs, modes, [&e, &fobs](SchedMode m) {
     return analysis::run_btmz(e, m, /*trace=*/true, /*seed=*/1, fobs.cfg());
   });
   for (std::size_t i = 0; i < figures.size(); ++i) {

@@ -14,10 +14,8 @@ int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  bench::init_logging(argc, argv);
-  bench::reject_dist_unsupported(argc, argv);
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  bench::FigObs fobs("fig6_siesta", bench::parse_obs_options(argc, argv));
+  const bench::Options opt = bench::parse_options(argc, argv);
+  bench::FigObs fobs("fig6_siesta", opt.obs);
   auto e = analysis::SiestaExperiment::paper();
   e.workload.microiters = 8000;  // a window of the full run
   e.workload.mark_every = 100;
@@ -30,7 +28,7 @@ int main(int argc, char** argv) {
   for (const auto& [mode, label] : figures) modes.push_back(mode);
 
   std::printf("=== Figure 6: effect of the proposed solution on SIESTA ===\n\n");
-  auto results = bench::run_modes(jobs, modes, [&e, &fobs](SchedMode m) {
+  auto results = bench::run_modes(opt.jobs, modes, [&e, &fobs](SchedMode m) {
     return analysis::run_siesta(e, m, /*trace=*/true, /*seed=*/1, fobs.cfg());
   });
   for (std::size_t i = 0; i < figures.size(); ++i) {

@@ -3,30 +3,24 @@
 // the Uniform and Adaptive heuristics.
 
 #include "bench_common.h"
-#include "bench_dist.h"
 
 int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  bench::init_logging(argc, argv);
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
-  const bench::DistContext dist = bench::parse_dist_options(argc, argv);
-  bench::reject_dist_incompatible(dist, obs);
-  bench::maybe_serve_dist_worker(dist);
+  const bench::Options opt = bench::parse_options(argc, argv);
   const auto e = analysis::MetBenchExperiment::paper();
   const std::vector<SchedMode> modes = {SchedMode::kBaselineCfs, SchedMode::kStatic,
                                         SchedMode::kUniform, SchedMode::kAdaptive};
 
   std::printf("=== Table III: MetBench characterization ===\n\n");
   exp::EngineStats host{};
-  auto results = bench::run_modes_dist(
-      dist, "table3_metbench", jobs, modes,
-      [&e, &obs](SchedMode m) {
-        return analysis::run_metbench(e, m, /*trace=*/false, /*seed=*/1, obs.cfg);
+  auto results = bench::run_modes(
+      opt.jobs, modes,
+      [&e, &opt](SchedMode m) {
+        return analysis::run_metbench(e, m, /*trace=*/false, /*seed=*/1, opt.obs.cfg);
       },
-      &host, /*seed=*/1, obs);
+      &host);
   auto& baseline = results[0];
   auto& stat = results[1];
   auto& uniform = results[2];
@@ -58,7 +52,7 @@ int main(int argc, char** argv) {
   };
   std::printf("\n%s\n",
               analysis::render_characterization_table("Table III (measured)", sections).c_str());
-  bench::write_table_json("table3_metbench", jobs, modes, results);
-  bench::write_obs_outputs("table3_metbench", obs, jobs, modes, results, &host);
+  bench::write_table_json("table3_metbench", opt.jobs, modes, results);
+  bench::write_obs_outputs("table3_metbench", opt.obs, opt.jobs, modes, results, &host);
   return 0;
 }

@@ -3,30 +3,24 @@
 // should match the hand-tuned static assignment (4/4/5/6).
 
 #include "bench_common.h"
-#include "bench_dist.h"
 
 int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  bench::init_logging(argc, argv);
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
-  const bench::DistContext dist = bench::parse_dist_options(argc, argv);
-  bench::reject_dist_incompatible(dist, obs);
-  bench::maybe_serve_dist_worker(dist);
+  const bench::Options opt = bench::parse_options(argc, argv);
   const auto e = analysis::BtMzExperiment::paper();
   const std::vector<SchedMode> modes = {SchedMode::kBaselineCfs, SchedMode::kStatic,
                                         SchedMode::kUniform, SchedMode::kAdaptive};
 
   std::printf("=== Table V: BT-MZ characterization (class A, 200 iterations) ===\n\n");
   exp::EngineStats host{};
-  auto results = bench::run_modes_dist(
-      dist, "table5_btmz", jobs, modes,
-      [&e, &obs](SchedMode m) {
-        return analysis::run_btmz(e, m, /*trace=*/false, /*seed=*/1, obs.cfg);
+  auto results = bench::run_modes(
+      opt.jobs, modes,
+      [&e, &opt](SchedMode m) {
+        return analysis::run_btmz(e, m, /*trace=*/false, /*seed=*/1, opt.obs.cfg);
       },
-      &host, /*seed=*/1, obs);
+      &host);
   auto& baseline = results[0];
   auto& stat = results[1];
   auto& uniform = results[2];
@@ -57,7 +51,7 @@ int main(int argc, char** argv) {
   };
   std::printf("\n%s\n",
               analysis::render_characterization_table("Table V (measured)", sections).c_str());
-  bench::write_table_json("table5_btmz", jobs, modes, results);
-  bench::write_obs_outputs("table5_btmz", obs, jobs, modes, results, &host);
+  bench::write_table_json("table5_btmz", opt.jobs, modes, results);
+  bench::write_obs_outputs("table5_btmz", opt.obs, opt.jobs, modes, results, &host);
   return 0;
 }

@@ -5,30 +5,24 @@
 // balancing. We report the latency split explicitly.
 
 #include "bench_common.h"
-#include "bench_dist.h"
 
 int main(int argc, char** argv) {
   using namespace hpcs;
   using analysis::SchedMode;
 
-  bench::init_logging(argc, argv);
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
-  const bench::ObsOptions obs = bench::parse_obs_options(argc, argv);
-  const bench::DistContext dist = bench::parse_dist_options(argc, argv);
-  bench::reject_dist_incompatible(dist, obs);
-  bench::maybe_serve_dist_worker(dist);
+  const bench::Options opt = bench::parse_options(argc, argv);
   const auto e = analysis::SiestaExperiment::paper();
   const std::vector<SchedMode> modes = {SchedMode::kBaselineCfs, SchedMode::kUniform,
                                         SchedMode::kAdaptive};
 
   std::printf("=== Table VI: SIESTA characterization ===\n\n");
   exp::EngineStats host{};
-  auto results = bench::run_modes_dist(
-      dist, "table6_siesta", jobs, modes,
-      [&e, &obs](SchedMode m) {
-        return analysis::run_siesta(e, m, /*trace=*/false, /*seed=*/1, obs.cfg);
+  auto results = bench::run_modes(
+      opt.jobs, modes,
+      [&e, &opt](SchedMode m) {
+        return analysis::run_siesta(e, m, /*trace=*/false, /*seed=*/1, opt.obs.cfg);
       },
-      &host, /*seed=*/1, obs);
+      &host);
   auto& baseline = results[0];
   auto& uniform = results[1];
   auto& adaptive = results[2];
@@ -61,7 +55,7 @@ int main(int argc, char** argv) {
   };
   std::printf("\n%s\n",
               analysis::render_characterization_table("Table VI (measured)", sections).c_str());
-  bench::write_table_json("table6_siesta", jobs, modes, results);
-  bench::write_obs_outputs("table6_siesta", obs, jobs, modes, results, &host);
+  bench::write_table_json("table6_siesta", opt.jobs, modes, results);
+  bench::write_obs_outputs("table6_siesta", opt.obs, opt.jobs, modes, results, &host);
   return 0;
 }

@@ -39,13 +39,11 @@ echo "=== hpcslint over src/ bench/ tests/ tools/ ==="
 # into quadratic behaviour should fail CI, not quietly rot the dev loop.
 LINT_BUDGET="${HPCS_LINT_BUDGET:-120}"
 lint_t0="$(date +%s)"
-./build-ci/tools/hpcslint/hpcslint \
-  --proto-spec tools/hpcslint/dist_protocol_spec.json src bench tests tools
+./build-ci/tools/hpcslint/hpcslint src bench tests tools
 
 echo "=== hpcslint whole-program (compile_commands.json) vs baseline ==="
 ./build-ci/tools/hpcslint/hpcslint \
   --compile-commands build-ci/compile_commands.json \
-  --proto-spec tools/hpcslint/dist_protocol_spec.json \
   --baseline tools/hpcslint/baseline.sarif.json
 lint_elapsed="$(( $(date +%s) - lint_t0 ))"
 echo "hpcslint runtime: ${lint_elapsed}s (budget ${LINT_BUDGET}s)"
@@ -81,18 +79,6 @@ doc = json.load(open('build-ci/bench/obs_fig3_trace.json'))
 assert doc['traceEvents'], 'Chrome trace has no events'
 print(f'Chrome trace loads: {len(doc[\"traceEvents\"])} events')
 "
-
-echo "=== dist-smoke: coordinator + 2 TCP workers vs serial ==="
-# Byte-identity of the sweep fabric against the serial run, plus the
-# fabric-sidecar schema checks and the result-cache cold/warm/corrupt pass.
-# Full contract in scripts/dist_smoke.sh.
-scripts/dist_smoke.sh build-ci
-
-echo "=== svc-smoke: hpcs-sweepd + hpcs-submit + worker + cache replay ==="
-# The sweep service's acceptance contract: concurrent tenants, a TCP
-# worker, a byte-identical warm-cache resubmit, status/shutdown, and the
-# v3 daemon sidecar. Full contract in scripts/svc_smoke.sh.
-scripts/svc_smoke.sh build-ci
 
 python3 scripts/check_bench_json.py scripts/bench_golden.json build-ci/bench
 

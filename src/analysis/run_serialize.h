@@ -1,14 +1,12 @@
 #pragma once
-// Bit-exact RunResult <-> bytes for the sweep fabric. Doubles travel as
-// IEEE-754 bit patterns (dist::WireWriter::f64), so a row computed on a
-// worker re-prints to the exact same %.10g text as the same row computed
-// locally — that is how BENCH_*.json and MANIFEST_*.json stay byte-identical
-// under --dist.
+// Bit-exact RunResult -> bytes, for tests that must prove two runs produced
+// the same result down to the last bit. test_eq_differential compares the
+// timing-wheel and heap-only event cores this way: doubles are written as
+// IEEE-754 bit patterns, so any difference in any value field shows up as a
+// byte difference instead of hiding behind a %.10g rounding.
 //
 // Scope: the value fields only. The host-side handles (tracer, recorder,
-// chrome) do not serialize; runs that need them (--obs-trace,
-// --obs-ring-dump) are explicitly local-only and the drivers reject the
-// combination up front rather than silently dropping data.
+// chrome) are not part of the byte image.
 
 #include <string>
 
@@ -16,17 +14,7 @@
 
 namespace hpcs::analysis {
 
-/// Serialize the value fields of `r` (version-tagged; tracer/recorder/chrome
-/// excluded).
+/// Serialize the value fields of `r` (tracer/recorder/chrome excluded).
 [[nodiscard]] std::string serialize_run_result(const RunResult& r);
-
-/// Inverse of serialize_run_result. False on malformed/mismatched bytes;
-/// `out` is unspecified in that case.
-[[nodiscard]] bool deserialize_run_result(const std::string& bytes, RunResult& out);
-
-/// The serializer's format version tag. Cache keys fold it in
-/// (result_cache_key.h) so bumping the layout invalidates every stored blob
-/// instead of feeding old bytes to a new decoder.
-[[nodiscard]] std::uint32_t run_result_format_version();
 
 }  // namespace hpcs::analysis

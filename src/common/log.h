@@ -18,7 +18,7 @@ void set_log_level(LogLevel level);
 [[nodiscard]] bool parse_log_level(const char* s, LogLevel& out);
 
 /// Apply the HPCS_LOG_LEVEL environment variable if set and valid. Bench
-/// drivers call this (via bench::init_logging) before parsing --log-level,
+/// drivers call this (via bench::parse_options) before parsing --log-level,
 /// so the flag wins over the environment.
 void init_log_level_from_env();
 

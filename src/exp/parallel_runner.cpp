@@ -1,10 +1,13 @@
 #include "exp/parallel_runner.h"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 
 namespace hpcs::exp {
@@ -18,16 +21,41 @@ unsigned default_jobs() {
   return hw >= 1 ? hw : 1;
 }
 
+namespace {
+
+/// Largest accepted --jobs / HPCS_JOBS value.
+constexpr unsigned long long kMaxJobs = 4096;
+
+/// Parse a worker count (decimal digits, 1..kMaxJobs) or exit 2 with a
+/// message naming `origin`. strtoull saturates on overflow, which the range
+/// check rejects.
+unsigned jobs_or_exit(const char* text, const char* origin) {
+  if (text == nullptr) text = "";
+  const std::string_view t = text;
+  const bool digits = !t.empty() && std::all_of(t.begin(), t.end(), [](char c) {
+    return std::isdigit(static_cast<unsigned char>(c)) != 0;
+  });
+  const unsigned long long v = digits ? std::strtoull(text, nullptr, 10) : 0;
+  if (v < 1 || v > kMaxJobs) {
+    std::fprintf(stderr, "error: %s: expected a worker count in 1..%llu, got '%s'\n",
+                 origin, kMaxJobs, text);
+    std::exit(2);
+  }
+  return static_cast<unsigned>(v);
+}
+
+}  // namespace
+
 unsigned parse_jobs_flag(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strcmp(a, "--jobs") == 0 && i + 1 < argc) {
-      const long v = std::strtol(argv[i + 1], nullptr, 10);
-      if (v >= 1) return static_cast<unsigned>(v);
-    } else if (std::strncmp(a, "--jobs=", 7) == 0) {
-      const long v = std::strtol(a + 7, nullptr, 10);
-      if (v >= 1) return static_cast<unsigned>(v);
+    if (std::strcmp(a, "--jobs") == 0) {
+      return jobs_or_exit(i + 1 < argc ? argv[i + 1] : nullptr, "--jobs");
     }
+    if (std::strncmp(a, "--jobs=", 7) == 0) return jobs_or_exit(a + 7, "--jobs");
+  }
+  if (const char* env = std::getenv("HPCS_JOBS")) {
+    if (env[0] != '\0') return jobs_or_exit(env, "HPCS_JOBS");
   }
   return default_jobs();
 }

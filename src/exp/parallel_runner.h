@@ -47,9 +47,12 @@ struct EngineStats {
 /// else std::thread::hardware_concurrency().
 [[nodiscard]] unsigned default_jobs();
 
-/// Scan argv for "--jobs N" / "--jobs=N" (removing nothing); returns
-/// default_jobs() when the flag is absent. Benches call this so every
-/// table*/ablation_* driver grows the knob uniformly.
+/// Scan argv for "--jobs N" / "--jobs=N" (removing nothing), then HPCS_JOBS;
+/// returns default_jobs() when neither is given. The value must be decimal
+/// digits in 1..4096; anything else ("abc", "0", "-3", "4x", a missing
+/// value) exits the process with code 2 and a message on stderr — a sweep
+/// that silently runs with a different worker count than asked for is not
+/// what the user ordered.
 [[nodiscard]] unsigned parse_jobs_flag(int argc, char** argv);
 
 class ParallelRunner {

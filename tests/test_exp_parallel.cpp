@@ -100,6 +100,24 @@ TEST(ParallelRunner, JobsFlagParsing) {
   EXPECT_GE(exp::parse_jobs_flag(1, const_cast<char**>(argv3)), 1u);
 }
 
+// Bad input fails loudly: every malformed --jobs value (and a missing one)
+// exits 2 with a message instead of quietly running at the default width.
+TEST(ParallelRunnerDeathTest, JobsFlagRejectsMalformedValues) {
+  const auto exits_2 = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    EXPECT_EXIT((void)exp::parse_jobs_flag(static_cast<int>(args.size()),
+                                           const_cast<char**>(args.data())),
+                ::testing::ExitedWithCode(2), "--jobs")
+        << args.back();
+  };
+  exits_2({"--jobs", "abc"});
+  exits_2({"--jobs", "0"});
+  exits_2({"--jobs", "-3"});
+  exits_2({"--jobs=4x"});
+  exits_2({"--jobs"});
+  exits_2({"--jobs="});
+}
+
 // The headline contract: a sweep fanned across N workers produces rows
 // bit-identical to the serial loop, for every N.
 TEST(ParallelSweep, BitIdenticalAcrossJobCounts) {
