@@ -41,8 +41,9 @@ struct ObsOptions {
 ///                                 is byte-identical for every N. A malformed
 ///                                 value exits 2.
 ///   --log-level LEVEL / HPCS_LOG_LEVEL=LEVEL
-///                                 runtime log threshold. An unknown level
-///                                 warns and keeps the current threshold.
+///                                 runtime log threshold (debug, info, warn,
+///                                 error, off or 0-4). An unknown level
+///                                 exits 2.
 ///   --obs / HPCS_OBS=1            metrics registry + tracepoint rings,
 ///                                 MANIFEST_<name>.json (+ .host.json sidecar)
 ///   --obs-trace PATH / HPCS_OBS_TRACE=PATH
@@ -101,13 +102,10 @@ inline Options parse_options(int argc, char** argv, bool jobs_only = false) {
     std::string error;
     if (!obs::parse_window_ns(text, ob.cfg.window_ns, error)) fail(origin, error);
   };
-  auto apply_log_level = [](const char* text) {
+  auto set_level = [&](const char* text, const char* origin) {
     LogLevel lvl;
-    if (parse_log_level(text, lvl)) {
-      set_log_level(lvl);
-    } else {
-      std::fprintf(stderr, "warning: unknown log level '%s'\n", text);
-    }
+    if (!parse_log_level(text, lvl)) fail(origin, std::string("unknown log level '") + text + "'");
+    set_log_level(lvl);
   };
   auto env = [](const char* name) -> const char* {
     const char* v = std::getenv(name);
@@ -119,7 +117,7 @@ inline Options parse_options(int argc, char** argv, bool jobs_only = false) {
   };
 
   if (!jobs_only) {
-    init_log_level_from_env();
+    if (const char* v = env("HPCS_LOG_LEVEL")) set_level(v, "HPCS_LOG_LEVEL");
     ob.cfg.enabled = env_on("HPCS_OBS");
     ob.cfg.chrome_stream = env_on("HPCS_OBS_TRACE_STREAM");
     if (const char* v = env("HPCS_OBS_TRACE")) ob.trace_path = v;
@@ -143,7 +141,7 @@ inline Options parse_options(int argc, char** argv, bool jobs_only = false) {
     } else if (jobs_only) {
       fail(argv[i], "unknown option");
     } else if (name == "--log-level") {
-      apply_log_level(value());
+      set_level(value(), "--log-level");
     } else if (a == "--obs") {
       ob.cfg.enabled = true;
     } else if (a == "--obs-trace-stream") {

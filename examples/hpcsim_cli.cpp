@@ -9,10 +9,17 @@
 //                      [--iterations N] [--seed S] [--no-noise]
 //                      [--fair cfs|o1] [--snooze-us N]
 //                      [--gantt] [--report] [--paraver PREFIX]
+//
+// Numbers are parsed whole: --iterations takes N >= 0 (0 = the workload's
+// default), --seed an unsigned 64-bit value, --snooze-us N >= -1 (-1 = never
+// snooze). A malformed value, unknown flag, workload, mode or fair scheduler
+// exits 2.
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "analysis/iterations.h"
 #include "analysis/paper_experiments.h"
@@ -82,6 +89,21 @@ wl::ProgramSet make_workload(const CliOptions& o, std::vector<int>* static_prios
   std::exit(2);
 }
 
+/// The whole of `text` as a base-10 integer of type T, at least `min`;
+/// anything else (empty, trailing junk, sign where T has none, out of
+/// range) exits 2 naming `flag`.
+template <typename T>
+T parse_number(const char* flag, std::string_view text, T min) {
+  T v{};
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (text.empty() || ec != std::errc() || end != text.data() + text.size() || v < min) {
+    std::fprintf(stderr, "invalid value '%.*s' for %s\n", static_cast<int>(text.size()),
+                 text.data(), flag);
+    std::exit(2);
+  }
+  return v;
+}
+
 CliOptions parse(int argc, char** argv) {
   CliOptions o;
   auto need_value = [&](int& i) -> const char* {
@@ -98,15 +120,19 @@ CliOptions parse(int argc, char** argv) {
     } else if (!std::strcmp(a, "--mode")) {
       o.mode = need_value(i);
     } else if (!std::strcmp(a, "--iterations")) {
-      o.iterations = std::atoi(need_value(i));
+      o.iterations = parse_number<int>(a, need_value(i), 0);
     } else if (!std::strcmp(a, "--seed")) {
-      o.seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      o.seed = parse_number<std::uint64_t>(a, need_value(i), 0);
     } else if (!std::strcmp(a, "--no-noise")) {
       o.noise = false;
     } else if (!std::strcmp(a, "--fair")) {
       o.fair = need_value(i);
+      if (o.fair != "cfs" && o.fair != "o1") {
+        std::fprintf(stderr, "unknown fair scheduler '%s'\n", o.fair.c_str());
+        std::exit(2);
+      }
     } else if (!std::strcmp(a, "--snooze-us")) {
-      o.snooze_us = std::atoll(need_value(i));
+      o.snooze_us = parse_number<std::int64_t>(a, need_value(i), -1);
     } else if (!std::strcmp(a, "--gantt")) {
       o.gantt = true;
     } else if (!std::strcmp(a, "--report")) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -57,6 +59,7 @@ void Kernel::start() {
   for (std::size_t i = 0; i < classes_.size(); ++i) {
     classes_[i]->set_index(static_cast<int>(i));
   }
+  class_runnable_.assign(classes_.size(), 0);
   cpus_.resize(static_cast<std::size_t>(topo_.num_cpus()));
   for (CpuId cpu = 0; cpu < topo_.num_cpus(); ++cpu) {
     CpuState& c = cpus_[static_cast<std::size_t>(cpu)];
@@ -193,12 +196,19 @@ void Kernel::set_acc_state(Task& t, AccState s) {
 // Run-queue plumbing
 // ---------------------------------------------------------------------------
 
+void Kernel::count_runnable(Rq& r, int idx, int delta) {
+  const auto i = static_cast<std::size_t>(idx);
+  r.class_count[i] += delta;
+  class_runnable_[i] += delta;
+  HPCS_CHECK(r.class_count[i] >= 0);
+}
+
 void Kernel::enqueue_task(Task& t, bool wakeup) {
   Rq& r = rq(t.cpu);
   const int idx = t.class_idx_;
   classes_[static_cast<std::size_t>(idx)]->enqueue(*this, r, t, wakeup);
   t.on_rq = true;
-  ++r.class_count[static_cast<std::size_t>(idx)];
+  count_runnable(r, idx, +1);
   set_acc_state(t, AccState::kReady);
 }
 
@@ -207,8 +217,59 @@ void Kernel::dequeue_task(Task& t, bool sleep) {
   const int idx = t.class_idx_;
   classes_[static_cast<std::size_t>(idx)]->dequeue(*this, r, t, sleep);
   t.on_rq = false;
-  --r.class_count[static_cast<std::size_t>(idx)];
-  HPCS_CHECK(r.class_count[static_cast<std::size_t>(idx)] >= 0);
+  count_runnable(r, idx, -1);
+}
+
+std::string Kernel::check_rq_invariants() const {
+  if (!started_) return {};
+  const std::size_t nc = classes_.size();
+  // Runnable tasks per (CPU, class) by the task table: on_rq covers both the
+  // queued tasks and the running one.
+  std::vector<int> listed(cpus_.size() * nc, 0);
+  for (const auto& t : tasks_) {
+    if (t->on_rq) {
+      ++listed[static_cast<std::size_t>(t->cpu) * nc + static_cast<std::size_t>(t->class_idx_)];
+    }
+  }
+  std::vector<int> total(nc, 0);
+  for (std::size_t cpu = 0; cpu < cpus_.size(); ++cpu) {
+    const Rq& r = cpus_[cpu].rq;
+    const std::string where = "cpu " + std::to_string(cpu) + ": ";
+    const Task* curr = r.curr != r.idle ? r.curr : nullptr;
+    if (curr != nullptr && (!curr->on_rq || curr->cpu != r.cpu)) {
+      return where + "running task " + curr->name() + " is not on this run queue";
+    }
+    for (std::size_t i = 0; i < nc; ++i) {
+      total[i] += r.class_count[i];
+      if (r.class_count[i] != listed[cpu * nc + i]) {
+        return where + classes_[i]->name() + " class_count " + std::to_string(r.class_count[i]) +
+               " but " + std::to_string(listed[cpu * nc + i]) + " queued or running tasks";
+      }
+    }
+    // The RT class heads the chain (index 0).
+    const auto& rt = static_cast<const RtRq&>(*r.class_rqs[0]);
+    std::size_t queued = curr != nullptr && curr->class_idx_ == 0 ? 1 : 0;
+    for (int p = 0; p < kRtPrioLevels; ++p) {
+      const auto& q = rt.queues[static_cast<std::size_t>(p)];
+      if (rt.has(p) == q.empty()) {
+        return where + "rt bitmap bit " + std::to_string(p) + (q.empty() ? " set" : " clear") +
+               " but the list holds " + std::to_string(q.size()) + " tasks";
+      }
+      queued += q.size();
+    }
+    if (queued != static_cast<std::size_t>(r.class_count[0])) {
+      return where + "rt lists and running task hold " + std::to_string(queued) +
+             " tasks but class_count is " + std::to_string(r.class_count[0]);
+    }
+  }
+  for (std::size_t i = 0; i < nc; ++i) {
+    if (total[i] != class_runnable_[i]) {
+      return std::string(classes_[i]->name()) + " runnable count " +
+             std::to_string(class_runnable_[i]) + " but class_count sums to " +
+             std::to_string(total[i]);
+    }
+  }
+  return {};
 }
 
 void Kernel::maybe_preempt(CpuId cpu, Task& woken) {
@@ -240,8 +301,11 @@ void Kernel::resched_cpu(CpuId cpu) {
 }
 
 Task* Kernel::pick_next(Rq& r) {
-  for (const auto& cls : classes_) {
-    if (Task* t = cls->pick_next(*this, r)) return t;
+  // A class with no runnable task on this CPU has nothing to pick; the idle
+  // class never counts its task, so an empty chain falls through to idle.
+  for (std::size_t i = 0; i < classes_.size(); ++i) {
+    if (r.class_count[i] == 0) continue;
+    if (Task* t = classes_[i]->pick_next(*this, r)) return t;
   }
   return r.idle;
 }
@@ -485,9 +549,7 @@ void Kernel::wake(Task& t) {
   t.woken_pending_ = true;
   t.wake_time_ = now();
   ++t.nr_wakeups;
-  SchedClass* cls = class_for(t.policy());
-  HPCS_CHECK(cls != nullptr);
-  const Duration cost = cls->wakeup_cost();
+  const Duration cost = classes_[static_cast<std::size_t>(t.class_idx_)]->wakeup_cost();
   if (cost <= Duration::zero()) {
     do_wake(t);
   } else {
@@ -532,7 +594,7 @@ bool Kernel::sched_setscheduler(Task& t, Policy policy, int rt_prio) {
   const int old_idx = t.class_idx_;
 
   if (queued) dequeue_task(t, false);
-  if (running) --r.class_count[static_cast<std::size_t>(old_idx)];
+  if (running) count_runnable(r, old_idx, -1);
 
   t.policy_ = policy;
   t.class_idx_ = class_index(policy);
@@ -540,7 +602,7 @@ bool Kernel::sched_setscheduler(Task& t, Policy policy, int rt_prio) {
   t.slice_left = Duration::zero();
 
   if (queued) enqueue_task(t, false);
-  if (running) ++r.class_count[static_cast<std::size_t>(t.class_idx_)];
+  if (running) count_runnable(r, t.class_idx_, +1);
   if (queued || running) resched_cpu(t.cpu);
   return true;
 }
@@ -598,40 +660,42 @@ void Kernel::on_tick(CpuId cpu) {
     resched_cpu(cpu);
   }
 }
-// HPCS_HOT_END
 
+// The balancer runs from every tick that hits its interval and from every
+// switch to idle (new-idle balancing), so it must not allocate either.
 bool Kernel::balance_pull(CpuId cpu, SchedClass& cls) {
   const auto ci = static_cast<std::size_t>(cls.index());
+  // A pull needs a group without `cpu` holding at least two more tasks of
+  // the class than cpu's own group, so at least two on the other CPUs.
+  if (class_runnable_[ci] - rq(cpu).class_count[ci] < 2) return false;
+  auto load_of = [&](CpuId c) { return cpus_[static_cast<std::size_t>(c)].rq.class_count[ci]; };
+  auto group_load = [&](std::span<const CpuId> group) {
+    int load = 0;
+    for (const CpuId c : group) load += load_of(c);
+    return load;
+  };
   for (const Domain& dom : topo_.domains_for(cpu)) {
-    int my_group = -1;
-    std::vector<int> loads(dom.groups.size(), 0);
-    for (std::size_t g = 0; g < dom.groups.size(); ++g) {
-      for (CpuId c : dom.groups[g]) {
-        loads[g] += rq(c).class_count[ci];
-        if (c == cpu) my_group = static_cast<int>(g);
-      }
-    }
-    if (my_group < 0) continue;
-    int busiest = -1;
-    for (std::size_t g = 0; g < dom.groups.size(); ++g) {
-      if (static_cast<int>(g) == my_group) continue;
-      if (busiest < 0 || loads[g] > loads[static_cast<std::size_t>(busiest)]) {
-        busiest = static_cast<int>(g);
+    const int my_load = group_load(dom.group(dom.own));
+    std::size_t busiest = dom.own;
+    int busiest_load = -1;
+    for (std::size_t g = 0; g < dom.num_groups(); ++g) {
+      if (g == dom.own) continue;
+      const int load = group_load(dom.group(g));
+      if (load > busiest_load) {
+        busiest = g;
+        busiest_load = load;
       }
     }
     // Pull only when moving one task strictly reduces the imbalance.
-    if (busiest < 0 ||
-        loads[static_cast<std::size_t>(busiest)] <= loads[static_cast<std::size_t>(my_group)] + 1)
-      continue;
+    if (busiest_load <= my_load + 1) continue;
     CpuId src = kInvalidCpu;
     int src_load = -1;
-    for (CpuId c : dom.groups[static_cast<std::size_t>(busiest)]) {
-      if (rq(c).class_count[ci] > src_load) {
-        src_load = rq(c).class_count[ci];
+    for (const CpuId c : dom.group(busiest)) {
+      if (load_of(c) > src_load) {
+        src_load = load_of(c);
         src = c;
       }
     }
-    if (src == kInvalidCpu) continue;
     Task* cand = cls.steal_candidate(*this, rq(src));
     if (cand == nullptr) continue;
     if (cand->pinned_cpu != kInvalidCpu && cand->pinned_cpu != cpu) continue;
@@ -642,6 +706,7 @@ bool Kernel::balance_pull(CpuId cpu, SchedClass& cls) {
   }
   return false;
 }
+// HPCS_HOT_END
 
 void Kernel::migrate(Task& t, CpuId dst) {
   HPCS_CHECK(t.on_rq);

@@ -150,6 +150,13 @@ class Kernel {
   /// Flush pending run/ready/sleep accounting of a task up to now().
   void flush_account(Task& t);
 
+  /// Check the run-queue counters the scheduling fast paths trust: per CPU
+  /// and class, `class_count` equals the queued tasks plus the running one;
+  /// each RT bitmap bit is set exactly when its priority list is non-empty;
+  /// the system-wide per-class count equals the sum of `class_count`.
+  /// Returns an empty string when all hold, else the first violation.
+  [[nodiscard]] std::string check_rq_invariants() const;
+
  private:
   struct CpuState {
     Rq rq;
@@ -171,6 +178,7 @@ class Kernel {
   [[nodiscard]] int class_index(Policy p) const;
 
   // Run-queue plumbing.
+  void count_runnable(Rq& r, int idx, int delta);
   void enqueue_task(Task& t, bool wakeup);
   void dequeue_task(Task& t, bool sleep);
   void maybe_preempt(CpuId cpu, Task& woken);
@@ -205,6 +213,9 @@ class Kernel {
   obs::Recorder* obs_ = nullptr;
 
   std::vector<std::unique_ptr<SchedClass>> classes_;  ///< priority order
+  /// Per class: runnable tasks (incl. running) on all CPUs, the sum of every
+  /// Rq::class_count entry for that class.
+  std::vector<int> class_runnable_;
   int cfs_index_ = -1;
   std::vector<CpuState> cpus_;
   std::vector<std::unique_ptr<Task>> tasks_;

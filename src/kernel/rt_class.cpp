@@ -19,7 +19,7 @@ void RtClass::enqueue(Kernel& k, Rq& rq, Task& t, bool wakeup) {
   RtRq& r = rrq(rq, index());
   HPCS_CHECK(t.rt_prio >= 0 && t.rt_prio < kRtPrioLevels);
   r.queues[static_cast<std::size_t>(t.rt_prio)].push_back(&t);
-  ++r.nr;
+  r.mark(t.rt_prio);
   if (t.policy() == Policy::kRr && t.slice_left <= Duration::zero()) {
     t.slice_left = rr_slice_;
   }
@@ -33,7 +33,7 @@ void RtClass::dequeue(Kernel& k, Rq& rq, Task& t, bool sleep) {
   auto it = std::find(q.begin(), q.end(), &t);
   if (it != q.end()) {
     q.erase(it);
-    --r.nr;
+    if (q.empty()) r.unmark(t.rt_prio);
   }
   // If the task is currently running it was already removed by pick_next.
 }
@@ -41,15 +41,13 @@ void RtClass::dequeue(Kernel& k, Rq& rq, Task& t, bool sleep) {
 Task* RtClass::pick_next(Kernel& k, Rq& rq) {
   (void)k;
   RtRq& r = rrq(rq, index());
-  for (auto& q : r.queues) {
-    if (!q.empty()) {
-      Task* t = q.front();
-      q.pop_front();
-      --r.nr;
-      return t;
-    }
-  }
-  return nullptr;
+  const int prio = r.first();
+  if (prio == kRtPrioLevels) return nullptr;
+  auto& q = r.queues[static_cast<std::size_t>(prio)];
+  Task* t = q.front();
+  q.pop_front();
+  if (q.empty()) r.unmark(prio);
+  return t;
 }
 
 void RtClass::put_prev(Kernel& k, Rq& rq, Task& t) {
@@ -64,7 +62,7 @@ void RtClass::put_prev(Kernel& k, Rq& rq, Task& t) {
   } else {
     q.push_front(&t);
   }
-  ++r.nr;
+  r.mark(t.rt_prio);
 }
 
 void RtClass::task_tick(Kernel& k, Rq& rq, Task& t) {

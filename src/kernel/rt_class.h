@@ -1,10 +1,14 @@
 #pragma once
 // The real-time class: 100 round-robin run-queue lists, one per RT priority
-// (paper §III). Essentially the old O(1) scheduler algorithm: pick the first
-// task of the highest non-empty priority list. SCHED_FIFO tasks keep the head
-// until they yield or block; SCHED_RR tasks rotate when their slice expires.
+// (paper §III). Essentially the old O(1) scheduler algorithm: a bitmap of
+// non-empty lists (Linux rt_prio_array) finds the highest non-empty priority
+// in one count-trailing-zeros, and the pick takes that list's first task.
+// SCHED_FIFO tasks keep the head until they yield or block; SCHED_RR tasks
+// rotate when their slice expires.
 
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <deque>
 
 #include "kernel/sched_class.h"
@@ -15,7 +19,23 @@ inline constexpr int kRtPrioLevels = 100;
 
 struct RtRq final : ClassRq {
   std::array<std::deque<Task*>, kRtPrioLevels> queues;
-  int nr = 0;
+  /// Bit p is set exactly when queues[p] is non-empty.
+  std::array<std::uint64_t, 2> bitmap{};
+
+  [[nodiscard]] bool has(int prio) const {
+    return (bitmap[static_cast<std::size_t>(prio) / 64] & bit_of(prio)) != 0;
+  }
+  void mark(int prio) { bitmap[static_cast<std::size_t>(prio) / 64] |= bit_of(prio); }
+  void unmark(int prio) { bitmap[static_cast<std::size_t>(prio) / 64] &= ~bit_of(prio); }
+  /// Highest priority (lowest number) with a queued task, or kRtPrioLevels.
+  [[nodiscard]] int first() const {
+    if (bitmap[0] != 0) return std::countr_zero(bitmap[0]);
+    if (bitmap[1] != 0) return 64 + std::countr_zero(bitmap[1]);
+    return kRtPrioLevels;
+  }
+
+ private:
+  static std::uint64_t bit_of(int prio) { return std::uint64_t{1} << (prio % 64); }
 };
 
 class RtClass final : public SchedClass {

@@ -19,14 +19,18 @@ TEST(Domains, Power5Levels) {
   const auto& lv = t.domains_for(0);
   ASSERT_EQ(lv.size(), 2u);
   EXPECT_EQ(lv[0].level, "smt");
-  ASSERT_EQ(lv[0].groups.size(), 2u);
-  EXPECT_EQ(lv[0].groups[0], (std::vector<CpuId>{0}));
-  EXPECT_EQ(lv[0].groups[1], (std::vector<CpuId>{1}));
+  ASSERT_EQ(lv[0].num_groups(), 2u);
+  EXPECT_EQ(cpus_of(lv[0].group(0)), (std::vector<CpuId>{0}));
+  EXPECT_EQ(cpus_of(lv[0].group(1)), (std::vector<CpuId>{1}));
   EXPECT_EQ(lv[1].level, "core");
-  EXPECT_EQ(lv[1].groups[0], (std::vector<CpuId>{0, 1}));
-  EXPECT_EQ(lv[1].groups[1], (std::vector<CpuId>{2, 3}));
-  // CPU 3's SMT domain covers core 1.
-  EXPECT_EQ(t.domains_for(3)[0].groups[0], (std::vector<CpuId>{2}));
+  EXPECT_EQ(cpus_of(lv[1].group(0)), (std::vector<CpuId>{0, 1}));
+  EXPECT_EQ(cpus_of(lv[1].group(1)), (std::vector<CpuId>{2, 3}));
+  EXPECT_EQ(lv[0].own, 0u);
+  EXPECT_EQ(lv[1].own, 0u);
+  // CPU 3's SMT domain covers core 1, and CPU 3 is its second group.
+  EXPECT_EQ(cpus_of(t.domains_for(3)[0].group(0)), (std::vector<CpuId>{2}));
+  EXPECT_EQ(t.domains_for(3)[0].own, 1u);
+  EXPECT_EQ(t.domains_for(3)[1].own, 1u);
 }
 
 TEST(Domains, SingleCoreHasOnlySmtLevel) {

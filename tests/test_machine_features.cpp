@@ -72,14 +72,16 @@ TEST(MultiChip, TopologyHasThreeLevels) {
   EXPECT_EQ(lv[1].level, "core");
   EXPECT_EQ(lv[2].level, "chip");
   // CPU 0's core level covers only chip 0's cores.
-  EXPECT_EQ(lv[1].groups.size(), 2u);
-  EXPECT_EQ(lv[1].groups[0], (std::vector<CpuId>{0, 1}));
-  EXPECT_EQ(lv[1].groups[1], (std::vector<CpuId>{2, 3}));
+  EXPECT_EQ(lv[1].num_groups(), 2u);
+  EXPECT_EQ(cpus_of(lv[1].group(0)), (std::vector<CpuId>{0, 1}));
+  EXPECT_EQ(cpus_of(lv[1].group(1)), (std::vector<CpuId>{2, 3}));
   // Chip level: two groups of four CPUs.
-  EXPECT_EQ(lv[2].groups[0], (std::vector<CpuId>{0, 1, 2, 3}));
-  EXPECT_EQ(lv[2].groups[1], (std::vector<CpuId>{4, 5, 6, 7}));
-  // CPU 5's core level covers chip 1's cores.
-  EXPECT_EQ(t.domains_for(5)[1].groups[0], (std::vector<CpuId>{4, 5}));
+  EXPECT_EQ(cpus_of(lv[2].group(0)), (std::vector<CpuId>{0, 1, 2, 3}));
+  EXPECT_EQ(cpus_of(lv[2].group(1)), (std::vector<CpuId>{4, 5, 6, 7}));
+  // CPU 5's core level covers chip 1's cores; its chip is the second group.
+  EXPECT_EQ(cpus_of(t.domains_for(5)[1].group(0)), (std::vector<CpuId>{4, 5}));
+  EXPECT_EQ(t.domains_for(5)[1].own, 0u);
+  EXPECT_EQ(t.domains_for(5)[2].own, 1u);
 }
 
 TEST(MultiChip, BalancerSpreadsAcrossChips) {

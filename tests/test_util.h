@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "kernel/kernel.h"
@@ -82,6 +83,11 @@ class HogBody final : public kern::TaskBody {
  private:
   Work chunk_;
 };
+
+/// The CPUs of one balancing group, as a comparable vector.
+inline std::vector<CpuId> cpus_of(std::span<const CpuId> group) {
+  return {group.begin(), group.end()};
+}
 
 struct KernelFixture {
   sim::Simulator sim;
