@@ -1,40 +1,29 @@
 // Event-loop and parallel-engine micro benchmark. Measures:
 //  1. events/sec on the event-queue hot patterns:
 //       - recurring per-CPU ticks re-armed via the reschedule() fast path
-//         (4 CPUs: the near-empty queue; 64 CPUs + 16k sparse background
-//         timers: the populated queue the timing wheel targets)
+//         (4 CPUs: the near-empty queue the paper runs produce)
 //       - one-shot events with a 32-byte capture (simmpi send-style; these
 //         exceed std::function's inline buffer — InplaceFunction keeps them
 //         allocation-free)
 //       - timeout churn: schedule a fat-capture guard, cancel before firing
-//       - same-instant bursts (batched dispatch of one timestamp)
-//       - far-future self-re-arming timers spanning every wheel level plus
-//         the heap overflow (cascade path)
-//       - mixed periodic ticks + sparse far-future timeouts (the kernel's
-//         real population shape)
-//       - sparse horizon: a few dozen ms-scale timers only, so dispatch
-//         leans on the per-level occupancy counts to skip empty bitmap scans
+//       - mixed periodic ticks + sparse far-future timeouts (a populated
+//         queue: 48 ticks over 4k long timeouts)
 //  2. wall-clock of an 8-point MetBench sweep run serially (--jobs 1) vs on
 //     all hardware threads, plus a row-for-row equality check (the engine's
 //     bit-identical contract).
-// Emits BENCH_simcore.json, including the timing-wheel counters of the
-// scaled tick scenario so the smoke checks can assert the wheel engaged.
-// Flags: --jobs N (HPCS_JOBS) for the parallel leg; --no-wheel (or
-// HPCS_EQ_WHEEL=0) forces every queue onto the legacy binary heap — run the
-// bench both ways for the before/after table in docs/performance.md.
+// Emits BENCH_simcore.json. Flags: --jobs N (HPCS_JOBS) for the parallel
+// leg; any other flag exits 2 (bench::parse_options).
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/paper_experiments.h"
 #include "analysis/sweep.h"
-#include "bench_json.h"
-#include "exp/parallel_runner.h"
+#include "bench_common.h"
 #include "simcore/simulator.h"
 
 using namespace hpcs;
@@ -50,20 +39,13 @@ double now_s() {
 }
 
 /// Recurring per-CPU 1 ms ticks, re-armed in-callback — the simulator's
-/// highest-volume pattern. `cpus` periodic timers; `background` far-future
-/// one-shots sit in the queue the whole time (they model the sparse
-/// timeout/snooze population that forces a heap to do log(n) work per tick).
-double bench_tick_loop(int cpus, int background, sim::EventQueueStats* stats = nullptr) {
+/// highest-volume pattern, with `cpus` periodic timers.
+double bench_tick_loop(int cpus) {
   sim::Simulator s;
   struct Ctx {
     sim::Simulator* s;
     sim::EventHandle h;
   };
-  std::vector<sim::EventHandle> bg;
-  bg.reserve(static_cast<std::size_t>(background));
-  for (int i = 0; i < background; ++i) {
-    bg.push_back(s.schedule_in(Duration(1'000'000'000'000LL + i), [] { std::abort(); }));
-  }
   std::vector<Ctx> ctx(static_cast<std::size_t>(cpus));
   for (int i = 0; i < cpus; ++i) {
     auto& c = ctx[static_cast<std::size_t>(i)];
@@ -76,9 +58,7 @@ double bench_tick_loop(int cpus, int background, sim::EventQueueStats* stats = n
   const double t0 = now_s();
   const std::uint64_t target = 6'000'000;
   while (s.events_executed() < target) s.step();
-  const double rate = double(s.events_executed()) / (now_s() - t0);
-  if (stats != nullptr) *stats = s.queue_stats();
-  return rate;
+  return double(s.events_executed()) / (now_s() - t0);
 }
 
 double bench_big_capture() {
@@ -117,68 +97,12 @@ double bench_cancel_churn() {
     auto h = q.schedule(SimTime(std::int64_t(i + 1000)), [p, &sink] { sink += p.b; });
     if (!q.cancel(h)) std::abort();
     if ((i & 63) == 63) {
-      // Drain the lazily-deleted entries, as a real run loop would.
+      // Dispatch now and then, as a real run loop would.
       q.schedule(SimTime(std::int64_t(i + 1)), [&sink] { ++sink; });
       q.pop_and_run();
     }
   }
   return double(kIters) / (now_s() - t0);
-}
-
-/// Bursts of events sharing one timestamp: the batched same-tick dispatch
-/// path (one slot search serves the whole burst).
-double bench_same_tick_burst() {
-  sim::EventQueue q;
-  std::uint64_t sink = 0;
-  const std::uint64_t kBursts = 20'000;
-  const int kBurst = 192;
-  std::int64_t t = 0;
-  const double t0 = now_s();
-  for (std::uint64_t b = 0; b < kBursts; ++b) {
-    for (int i = 0; i < kBurst; ++i) {
-      q.schedule(SimTime(t), [&sink] { ++sink; });
-    }
-    while (!q.empty()) q.pop_and_run();
-    t += 4096;
-  }
-  const double rate = double(kBursts * std::uint64_t(kBurst)) / (now_s() - t0);
-  if (sink != kBursts * std::uint64_t(kBurst)) std::abort();
-  return rate;
-}
-
-/// Self-re-arming timers whose periods span every wheel level and the heap
-/// overflow band (beyond the ~16.8 ms horizon), so dispatch continually
-/// cascades far-future work toward level 0.
-double bench_far_future_cascade() {
-  sim::EventQueue q;
-  struct Ctx {
-    sim::EventQueue* q;
-    sim::EventHandle h;
-    std::int64_t when;
-    std::int64_t period;
-  };
-  // Periods: level-0 (ns), level-1 (us), level-2 (ms), past-horizon (32 ms).
-  constexpr std::int64_t kPeriods[] = {192, 12'288, 786'432, 33'554'432};
-  constexpr int kTimersPerBand = 64;
-  std::vector<Ctx> ctx(4 * kTimersPerBand);
-  for (std::size_t i = 0; i < ctx.size(); ++i) {
-    Ctx* c = &ctx[i];
-    c->q = &q;
-    c->period = kPeriods[i % 4];
-    c->when = c->period + std::int64_t(i);
-    c->h = q.schedule(SimTime(c->when), [c] {
-      c->when += c->period;
-      if (!c->q->reschedule(c->h, SimTime(c->when))) std::abort();
-    });
-  }
-  const double t0 = now_s();
-  const std::uint64_t target = 4'000'000;
-  std::uint64_t fired = 0;
-  while (fired < target) {
-    q.pop_and_run();
-    ++fired;
-  }
-  return double(fired) / (now_s() - t0);
 }
 
 /// The kernel's real queue shape: a band of periodic millisecond ticks plus
@@ -225,42 +149,6 @@ double bench_mixed_periodic_sparse() {
   return double(fired) / (now_s() - t0);
 }
 
-/// Sparse horizon: a few dozen ms-scale timers and nothing else, so the
-/// wheel's 768 slots are ~95% empty and level 0 is empty on almost every
-/// search. Exercises the per-level occupancy counts that let dispatch skip
-/// whole bitmap scans; `stats` reports wheel_level_skips as evidence.
-double bench_sparse_horizon(sim::EventQueueStats* stats = nullptr) {
-  sim::EventQueue q;
-  struct Ctx {
-    sim::EventQueue* q;
-    sim::EventHandle h;
-    std::int64_t when;
-    std::int64_t period;
-  };
-  constexpr int kTimers = 40;  // above kWheelMinPendingDefault: wheel-routed
-  std::vector<Ctx> ctx(kTimers);
-  for (int i = 0; i < kTimers; ++i) {
-    Ctx* c = &ctx[static_cast<std::size_t>(i)];
-    c->q = &q;
-    c->period = 2'000'000 + std::int64_t(i) * 7'001;  // ~2 ms, mutually prime-ish
-    c->when = c->period;
-    c->h = q.schedule(SimTime(c->when), [c] {
-      c->when += c->period;
-      if (!c->q->reschedule(c->h, SimTime(c->when))) std::abort();
-    });
-  }
-  const double t0 = now_s();
-  const std::uint64_t target = 2'000'000;
-  std::uint64_t fired = 0;
-  while (fired < target) {
-    q.pop_and_run();
-    ++fired;
-  }
-  const double rate = double(fired) / (now_s() - t0);
-  if (stats != nullptr) *stats = q.stats();
-  return rate;
-}
-
 std::vector<analysis::SweepPoint> make_sweep_points() {
   std::vector<analysis::SweepPoint> points;
   const std::vector<analysis::SchedMode> modes = {
@@ -300,38 +188,18 @@ bool rows_equal(const std::vector<analysis::SweepRow>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = exp::parse_jobs_flag(argc, argv);
+  const unsigned jobs = bench::parse_options(argc, argv, /*jobs_only=*/true).jobs;
   const unsigned hw = std::thread::hardware_concurrency();
 
-  bool wheel = true;
-  if (const char* env = std::getenv("HPCS_EQ_WHEEL")) {
-    if (std::strcmp(env, "0") == 0) wheel = false;
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-wheel") == 0) wheel = false;
-  }
-  sim::EventQueue::set_default_wheel_enabled(wheel);
-
-  std::printf("=== simcore micro: event-loop hot paths (wheel %s) ===\n",
-              wheel ? "on" : "off");
-  const double tick = bench_tick_loop(4, 0);
-  sim::EventQueueStats scale_stats;
-  const double tick_scale = bench_tick_loop(64, 16384, &scale_stats);
+  std::printf("=== simcore micro: event-loop hot paths ===\n");
+  const double tick = bench_tick_loop(4);
   const double big = bench_big_capture();
   const double cancel = bench_cancel_churn();
-  const double burst = bench_same_tick_burst();
-  const double cascade = bench_far_future_cascade();
   const double mixed = bench_mixed_periodic_sparse();
-  sim::EventQueueStats sparse_stats;
-  const double sparse = bench_sparse_horizon(&sparse_stats);
   std::printf("tick loop 4cpu (reschedule fast path):  %8.1fM events/s\n", tick / 1e6);
-  std::printf("tick loop 64cpu + 16k sparse timers:    %8.1fM events/s\n", tick_scale / 1e6);
   std::printf("32B-capture one-shot events:            %8.1fM events/s\n", big / 1e6);
   std::printf("schedule+cancel churn:                  %8.1fM events/s\n", cancel / 1e6);
-  std::printf("same-instant bursts (batch dispatch):   %8.1fM events/s\n", burst / 1e6);
-  std::printf("far-future cascade timers:              %8.1fM events/s\n", cascade / 1e6);
   std::printf("mixed periodic + sparse timeouts:       %8.1fM events/s\n", mixed / 1e6);
-  std::printf("sparse horizon (40 ms-scale timers):    %8.1fM events/s\n", sparse / 1e6);
 
   std::printf("\n=== parallel experiment engine: 8-point MetBench sweep ===\n");
   const auto points = make_sweep_points();
@@ -350,25 +218,9 @@ int main(int argc, char** argv) {
 
   bench::JsonObject events;
   events.field("tick_reschedule_per_s", tick)
-      .field("tick_reschedule_scale_per_s", tick_scale)
       .field("big_capture_per_s", big)
       .field("cancel_churn_per_s", cancel)
-      .field("same_tick_batch_per_s", burst)
-      .field("far_future_cascade_per_s", cascade)
-      .field("mixed_periodic_sparse_per_s", mixed)
-      .field("sparse_horizon_per_s", sparse);
-  // Wheel engagement evidence from the scaled tick scenario: with the wheel
-  // on, ticks arm into it and dispatch in batches; with --no-wheel every arm
-  // is a heap fallback. check_bench_json.py asserts the wheel side.
-  bench::JsonObject wheelj;
-  wheelj.field("enabled", wheel)
-      .field("armed", scale_stats.wheel_armed)
-      .field("hits", scale_stats.wheel_dispatched)
-      .field("cascades", scale_stats.wheel_cascades)
-      .field("heap_fallbacks", scale_stats.heap_armed)
-      .field("batches", scale_stats.wheel_batches)
-      .field("max_batch", scale_stats.wheel_max_batch)
-      .field("level_skips", sparse_stats.wheel_level_skips);
+      .field("mixed_periodic_sparse_per_s", mixed);
   bench::JsonObject sweep;
   sweep.field("points", static_cast<std::int64_t>(points.size()))
       .field("serial_s", serial_s)
@@ -380,7 +232,6 @@ int main(int argc, char** argv) {
   root.field("bench", "micro_simcore")
       .field("hardware_concurrency", hw)
       .object("events_per_sec", events)
-      .object("wheel", wheelj)
       .object("sweep", sweep);
   bench::write_json_file("BENCH_simcore.json", root);
   return identical ? 0 : 1;

@@ -147,14 +147,6 @@ RunResult run_experiment(const ExperimentConfig& cfg,
     m.counter("sim.eq_dispatched").set(qs.dispatched);
     m.counter("sim.eq_resched_inplace").set(qs.resched_inplace);
     m.counter("sim.eq_resched_pending").set(qs.resched_pending);
-    m.counter("sim.eq_stale_dropped").set(qs.stale_dropped);
-    m.counter("sim.eq_wheel_armed").set(qs.wheel_armed);
-    m.counter("sim.eq_wheel_hits").set(qs.wheel_dispatched);
-    m.counter("sim.eq_wheel_cascades").set(qs.wheel_cascades);
-    m.counter("sim.eq_wheel_heap_fallbacks").set(qs.heap_armed);
-    m.counter("sim.eq_wheel_batches").set(qs.wheel_batches);
-    m.counter("sim.eq_wheel_max_batch").set(qs.wheel_max_batch);
-    m.counter("sim.eq_wheel_level_skips").set(qs.wheel_level_skips);
     if (hpc_class != nullptr) {
       m.counter("hpc.iterations").set(hpc_class->iterations_observed());
       m.counter("hpc.prio_changes").set(hpc_class->priority_changes());

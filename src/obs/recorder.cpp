@@ -87,14 +87,13 @@ Recorder::Recorder(const ObsConfig& cfg, int num_cpus) {
   metrics_.counter("sim.eq_dispatched");
   metrics_.counter("sim.eq_resched_inplace");
   metrics_.counter("sim.eq_resched_pending");
+  // The event queue is one indexed heap with no lazy deletion and no timing
+  // wheel, so these three stay 0. They remain registered because
+  // perfbench derives simcore.stale_ratio and simcore.heap_fallback_ratio
+  // from them by name.
   metrics_.counter("sim.eq_stale_dropped");
   metrics_.counter("sim.eq_wheel_armed");
-  metrics_.counter("sim.eq_wheel_hits");
-  metrics_.counter("sim.eq_wheel_cascades");
   metrics_.counter("sim.eq_wheel_heap_fallbacks");
-  metrics_.counter("sim.eq_wheel_batches");
-  metrics_.counter("sim.eq_wheel_max_batch");
-  metrics_.counter("sim.eq_wheel_level_skips");
   metrics_.counter("hpc.iterations");
   metrics_.counter("hpc.prio_changes");
   metrics_.counter("hpc.resets");

@@ -3,27 +3,19 @@
 //
 // Events are (time, sequence, callback) triples ordered by time then by
 // insertion sequence, which makes simultaneous events fire in a deterministic
-// FIFO order. Cancellation is O(1): each event carries a generation counter
-// and an EventHandle remembers the id/generation it was issued for; stale
-// entries are skipped lazily when they surface.
+// FIFO order.
 //
-// Storage is a hierarchical timing wheel backed by a binary-heap overflow
-// (see docs/performance.md for the measured effect):
-//  * The wheel has kWheelLevels levels of 256 slots; level 0 resolves single
-//    nanoseconds, so a level-0 slot holds exactly one timestamp and its FIFO
-//    list IS the (time, seq) dispatch order — arming and firing the
-//    simulator's dominant traffic (per-CPU 1 ms ticks, exec completions,
-//    network deliveries) is O(1) with at most kWheelLevels-1 cascades.
-//  * Events beyond the wheel horizon (2^24 ns ≈ 16.8 ms) — sparse far-future
-//    timers — overflow into the heap, which is exactly the structure that
-//    likes sparse traffic. Dispatch merges the two by (time, seq), so the
-//    firing order is bit-identical to the heap-only implementation
-//    (tests/test_eq_differential.cpp proves it byte-for-byte).
-//  * Same-instant events dispatch as a *batch*: once a level-0 slot is
-//    located, run_next() keeps a cursor into it and every further event at
-//    that timestamp dispatches without re-searching the wheel or touching
-//    the heap — the stale-sweep and slot-lookup cost is paid once per
-//    distinct timestamp, not once per event.
+// Storage is one indexed binary min-heap over (when, seq): every pending
+// event has exactly one heap entry, and pos_[slot id] is that entry's index.
+// Nothing is deleted lazily, so the heap never holds a stale entry:
+//  * cancel() removes the entry at its index and recycles the slot at once;
+//  * reschedule() of a pending event re-keys its entry in place, sifting it
+//    up or down;
+//  * while an event's callback runs its entry stays at the root, so the
+//    dominant traffic (a per-CPU tick or exec completion re-armed from its
+//    own callback) costs one sift-down — no pop, no push.
+// The paper runs keep at most a few dozen events pending (docs/performance.md
+// has the measured maxima), so the whole heap is a few cache lines.
 //
 // Hot-path design (see docs/performance.md):
 //  * Callbacks are InplaceFunction — a fixed 48-byte inline buffer, so
@@ -32,16 +24,13 @@
 //    invoked in place even if it schedules new events (no per-dispatch
 //    closure moves, unlike a std::vector of slots that may reallocate).
 //  * reschedule() moves a pending event to a new time without touching its
-//    callback, and — crucially for recurring events like the kernel's per-CPU
-//    1 ms tick — may be called from *inside* the firing callback to re-arm
+//    callback, and may be called from *inside* the firing callback to re-arm
 //    the same slot, keeping the handle valid and skipping the
 //    destroy/construct/slot-allocate cycle entirely.
 
-#include <atomic>
-#include <bit>
 #include <cstdint>
-#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -65,14 +54,6 @@ struct EventQueueStats {
   std::int64_t dispatched = 0;       ///< callbacks actually run
   std::int64_t resched_pending = 0;  ///< reschedule() moved a pending event
   std::int64_t resched_inplace = 0;  ///< reschedule() re-armed the firing slot
-  std::int64_t stale_dropped = 0;    ///< superseded/cancelled entries skipped
-  std::int64_t wheel_armed = 0;      ///< arms placed in the timing wheel
-  std::int64_t heap_armed = 0;       ///< arms overflowed to the heap (far future)
-  std::int64_t wheel_dispatched = 0; ///< events dispatched off the wheel
-  std::int64_t wheel_cascades = 0;   ///< higher-level slots redistributed downward
-  std::int64_t wheel_batches = 0;    ///< same-instant wheel batches started
-  std::int64_t wheel_max_batch = 0;  ///< largest same-instant batch dispatched
-  std::int64_t wheel_level_skips = 0;  ///< level scans skipped (occupancy count 0)
 };
 
 /// Opaque reference to a scheduled event; safe to keep after the event fired
@@ -93,58 +74,38 @@ class EventHandle {
 
 class EventQueue {
  public:
-  EventQueue() { wheel_enabled_ = default_wheel_enabled_.load(std::memory_order_relaxed); }
-
-  /// Differential-testing seam: queues constructed while this is false route
-  /// every arm through the overflow heap, which is exactly the pre-wheel
-  /// implementation. Firing order is identical either way (that is the
-  /// contract tests/test_eq_differential.cpp enforces); only the eq_wheel_*
-  /// counters differ. Not for production use.
-  static void set_default_wheel_enabled(bool on) {
-    default_wheel_enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Per-instance variant of the seam; only valid before any event is armed.
-  void set_wheel_enabled(bool on) {
-    HPCS_CHECK_MSG(live_count_ == 0 && heap_.empty() && wheel_nodes_ == 0,
-                   "set_wheel_enabled() on a non-empty EventQueue");
-    wheel_enabled_ = on;
-  }
-
-  /// Pending-population threshold above which non-level-0 arms use the wheel
-  /// (test/bench seam; 0 forces everything within the horizon onto the
-  /// wheel). Safe to change at any time — routing never affects order.
-  void set_wheel_min_pending(std::size_t n) { wheel_min_pending_ = n; }
-
   /// Test seam: start the insertion-sequence counter near an arbitrary value
   /// so the wrapping-u32 tiebreak can be exercised around UINT32_MAX without
   /// four billion warm-up schedules. Only valid on an empty queue.
   void set_next_seq_for_test(std::uint32_t s) {
-    HPCS_CHECK_MSG(live_count_ == 0 && heap_.empty() && wheel_nodes_ == 0,
-                   "set_next_seq_for_test() on a non-empty EventQueue");
+    HPCS_CHECK_MSG(heap_.empty(), "set_next_seq_for_test() on a non-empty EventQueue");
     next_seq_ = s;
   }
+
+  /// Structural self-check: heap order, pos_[heap_[i].id] == i, and every
+  /// live slot in the heap exactly once (plus the firing slot's own entry
+  /// while its callback runs). Returns an empty string when all hold, else
+  /// the first violation. O(slots); for tests, not the event loop.
+  [[nodiscard]] std::string check_invariants() const;
 
   // HPCS_HOT_BEGIN — the public dispatch surface: every simulated event
   // passes through here, and none of it may allocate or construct a
   // std::function (hpcslint enforces; docs/performance.md explains). The
-  // only allocations in the queue live in alloc_slot() and the node-pool
-  // growth, deliberately amortized: they run once per table growth, not per
+  // only allocations in the queue are the slot-table and heap growth in
+  // alloc_slot() and heap_push(): they run once per table growth, not per
   // event.
 
   /// Schedule `cb` to fire at absolute time `when` (must not be in the past
   /// relative to the last popped event).
   EventHandle schedule(SimTime when, EventCallback cb) {
     ++stats_.scheduled;
-    const std::uint64_t id = alloc_slot();
+    const std::uint32_t id = alloc_slot();
     Slot& slot = slot_at(id);
     slot.cb = std::move(cb);
     slot.live = true;
-    slot.has_entry = true;
-    slot.seq = next_seq_++;
     ++slot.gen;
     ++live_count_;
-    arm(when, slot.seq, static_cast<std::uint32_t>(id));
+    heap_push(HeapEntry{when, next_seq_++, id});
     return EventHandle{id, slot.gen};
   }
 
@@ -153,41 +114,42 @@ class EventQueue {
   /// is stale.
   bool cancel(EventHandle h) {
     if (!pending(h)) return false;
-    Slot& slot = slot_at(h.id_);
+    const auto id = static_cast<std::uint32_t>(h.id_);
+    Slot& slot = slot_at(id);
     slot.live = false;
-    slot.cb = nullptr;
     --live_count_;
-    // The wheel node / heap entry stays behind and is skipped lazily; the
-    // slot is recycled only when that entry surfaces, so generations stay
-    // unambiguous.
+    heap_remove(pos_[id]);
+    // A firing event that re-armed and then cancelled itself is still
+    // executing in place: run_next() frees it when the callback returns.
+    if (id != firing_slot_) release_slot(id);
     return true;
   }
 
   /// Move the event behind `h` to fire at `when` instead, reusing its stored
   /// callback and keeping `h` valid. Also works from inside the event's own
-  /// callback while it is firing (the recurring-event fast path: the slot is
-  /// re-armed instead of freed when the callback returns). Returns false —
-  /// and does nothing — if the handle is stale or cancelled; callers then
-  /// fall back to schedule().
+  /// callback while it is firing (the recurring-event fast path: the slot's
+  /// root entry is re-keyed instead of freed when the callback returns).
+  /// Returns false — and does nothing — if the handle is stale or cancelled;
+  /// callers then fall back to schedule().
   bool reschedule(EventHandle h, SimTime when) {
     if (pending(h)) {
       ++stats_.resched_pending;
-      Slot& slot = slot_at(h.id_);
-      slot.seq = next_seq_++;
-      slot.has_entry = true;  // the old entry becomes a superseded duplicate
-      arm(when, slot.seq, static_cast<std::uint32_t>(h.id_));
+      rekey(pos_[h.id_], HeapEntry{when, next_seq_++, static_cast<std::uint32_t>(h.id_)});
       return true;
     }
-    // Re-arm from inside the firing callback: the slot was taken off its
-    // structure for this dispatch but its callback is still intact.
     if (h.valid() && h.id_ == firing_slot_ && h.gen_ == firing_gen_) {
       ++stats_.resched_inplace;
-      Slot& slot = slot_at(h.id_);
-      slot.live = true;
-      slot.has_entry = true;
-      slot.seq = next_seq_++;
+      const auto id = static_cast<std::uint32_t>(h.id_);
+      slot_at(id).live = true;
       ++live_count_;
-      arm(when, slot.seq, static_cast<std::uint32_t>(h.id_));
+      const HeapEntry e{when, next_seq_++, id};
+      // The entry is gone only if the callback re-armed and cancelled
+      // itself earlier in this same firing.
+      if (pos_[id] == kNoPos) {
+        heap_push(e);
+      } else {
+        rekey(pos_[id], e);
+      }
       return true;
     }
     return false;
@@ -200,16 +162,16 @@ class EventQueue {
     return slot.live && slot.gen == h.gen_;
   }
 
+  /// Pending events; the one whose callback is running does not count.
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_count_; }
 
-  /// Time of the earliest pending event. Requires !empty(). May cascade
-  /// wheel slots and purge stale entries (both invisible to firing order).
-  [[nodiscard]] SimTime next_time() {
-    SimTime t = SimTime::zero();
-    const bool found = peek_next(SimTime::max(), t);
-    HPCS_CHECK_MSG(found, "next_time() on empty event queue");
-    return t;
+  /// Time of the earliest pending event. Requires !empty(); not callable
+  /// from inside a callback (the firing entry still holds the root).
+  [[nodiscard]] SimTime next_time() const {
+    HPCS_CHECK_MSG(!heap_.empty(), "next_time() on empty event queue");
+    HPCS_CHECK_MSG(firing_slot_ == kNoSlot, "next_time() from inside a callback");
+    return heap_.front().when;
   }
 
   /// Pop and run the earliest pending event; returns its time.
@@ -223,66 +185,28 @@ class EventQueue {
   /// Fused fast path for the simulator loop: if the earliest pending event
   /// fires at or before `deadline`, store its time into `clock`, run it and
   /// return true. Returns false (leaving `clock` untouched) when the queue
-  /// is empty or the next event is past the deadline.
-  ///
-  /// Same-instant events dispatch as a batch: the first event at a new
-  /// timestamp pays the wheel/heap search, every further event at that
-  /// timestamp resumes from the cached level-0 slot — one list pop, no
-  /// search, no heap inspection. Events scheduled *at the current timestamp
-  /// from inside a firing callback* (zero-delay follow-ups, same-instant
-  /// re-arms) append to the live batch and fire in the same sweep.
+  /// is empty or the next event is past the deadline. Not reentrant: a
+  /// callback must not dispatch events itself.
   bool run_next(SimTime deadline, SimTime& clock) {
-    for (;;) {
-      // Resume the active same-instant batch.
-      if (active_batch_) {
-        if (active_when_ > deadline.ns()) return false;
-        const std::uint32_t n = wheel_front_live(*active_list_);
-        if (n == kNilNode) {
-          active_batch_ = false;
-          continue;
-        }
-        wheel_unlink_front(*active_list_, n);
-        ++batch_len_;
-        if (batch_len_ > stats_.wheel_max_batch) stats_.wheel_max_batch = batch_len_;
-        dispatch_wheel_node(n, clock);
-        return true;
-      }
-
-      const bool heap_has = heap_peek();
-      const std::int64_t heap_when =
-          heap_has ? heap_.front().when.ns() : std::numeric_limits<std::int64_t>::max();
-      const std::int64_t limit = heap_when < deadline.ns() ? heap_when : deadline.ns();
-      std::int64_t w = 0;
-      if (wheel_nodes_ != 0 && wheel_find_next(limit, w)) {
-        WheelList& list = level0_list(w);
-        const std::uint32_t n = wheel_front_live(list);
-        if (n == kNilNode) continue;  // stale-only slot purged; search again
-        if (w == heap_when) {
-          // Rare cross-structure tie: merge by sequence, one event at a time
-          // (no batch — the tie has to be re-checked per event). Wrap-aware
-          // window compare, same domain as HeapEntry::operator>.
-          const HeapEntry top = heap_.front();
-          if (static_cast<std::int32_t>(pool_[n].seq - top.seq) > 0) {
-            dispatch_heap_top(clock);
-            return true;
-          }
-        }
-        wheel_unlink_front(list, n);
-        if (w != heap_when) {
-          ++stats_.wheel_batches;
-          batch_len_ = 1;
-          active_batch_ = true;
-          active_when_ = w;
-          active_list_ = &list;
-          if (stats_.wheel_max_batch == 0) stats_.wheel_max_batch = 1;
-        }
-        dispatch_wheel_node(n, clock);
-        return true;
-      }
-      if (!heap_has || heap_when > deadline.ns()) return false;
-      dispatch_heap_top(clock);
-      return true;
-    }
+    HPCS_CHECK_MSG(firing_slot_ == kNoSlot, "EventQueue::run_next() from inside a callback");
+    if (heap_.empty() || heap_.front().when > deadline) return false;
+    clock = heap_.front().when;
+    ++stats_.dispatched;
+    const std::uint32_t id = heap_.front().id;
+    Slot& slot = slot_at(id);
+    slot.live = false;
+    --live_count_;
+    firing_slot_ = id;
+    firing_gen_ = slot.gen;
+    // Chunk addresses are stable, so the closure runs in place; scheduling
+    // from inside the callback cannot move it. Its entry stays in the heap
+    // (at the root unless the callback cancelled or re-keyed it).
+    slot.cb();
+    firing_slot_ = kNoSlot;
+    if (slot.live) return true;  // re-armed: its entry was re-keyed in place
+    if (pos_[id] != kNoPos) heap_remove(pos_[id]);
+    release_slot(id);  // fired for good: destroy the closure, recycle
+    return true;
   }
 
   /// Drop all pending events and reset sequence numbering, so a reused queue
@@ -293,24 +217,13 @@ class EventQueue {
   void clear() {
     HPCS_CHECK_MSG(firing_slot_ == kNoSlot, "EventQueue::clear() from inside a callback");
     heap_.clear();
+    pos_.clear();
     chunks_.clear();
     slot_count_ = 0;
     free_slots_.clear();
     live_count_ = 0;
     next_seq_ = 0;
     stats_ = EventQueueStats{};
-    pool_.clear();
-    node_free_ = kNilNode;
-    wheel_nodes_ = 0;
-    cur_ns_ = 0;
-    active_batch_ = false;
-    batch_len_ = 0;
-    link_cache_when_ = kNoLinkCache;
-    link_cache_list_ = nullptr;
-    for (Level& lv : levels_) {
-      for (WheelList& l : lv.lists) l = WheelList{};
-      for (std::uint64_t& word : lv.bits) word = 0;
-    }
   }
 
   [[nodiscard]] const EventQueueStats& stats() const { return stats_; }
@@ -318,10 +231,10 @@ class EventQueue {
   // HPCS_HOT_END
 
  private:
-  /// 16 bytes: two entries per cache line more during the sift loops, which
-  /// are pure HeapEntry traffic. Slot ids fit u32 by the alloc_slot() cap;
-  /// seq is a wrapping 32-bit window — see operator> for why wraparound
-  /// cannot reorder live events.
+  /// 16 bytes: four entries per cache line during the sift loops, which are
+  /// pure HeapEntry traffic. Slot ids fit u32 by the alloc_slot() cap; seq
+  /// is a wrapping 32-bit window — see operator> for why wraparound cannot
+  /// reorder pending events.
   struct HeapEntry {
     SimTime when;
     std::uint32_t seq;
@@ -330,25 +243,18 @@ class EventQueue {
       if (when != o.when) return when > o.when;
       // Wraparound-aware window compare: correct while same-instant entries
       // sit within 2^31 schedule() calls of each other. Tie-break order only
-      // matters between LIVE entries at the same `when`, and the simulator's
-      // same-instant fan-out (per-CPU ticks, message deliveries) is bounded
-      // by machine size — nowhere near the 2^31 window.
+      // matters between pending entries at the same `when`, and the
+      // simulator's same-instant fan-out (per-CPU ticks, message deliveries)
+      // is bounded by machine size — nowhere near the 2^31 window.
       return static_cast<std::int32_t>(seq - o.seq) > 0;
     }
   };
-  static_assert(sizeof(HeapEntry) == 16, "heap entries are two per cache line pair");
+  static_assert(sizeof(HeapEntry) == 16, "heap entries are four per cache line");
   struct Slot {
     EventCallback cb;
     std::uint64_t gen = 0;
-    /// Sequence of the slot's *authoritative* entry (wrapping 32-bit window,
-    /// same domain as HeapEntry::seq); entries with any other seq are
-    /// superseded duplicates left behind by reschedule().
-    std::uint32_t seq = 0;
+    /// Pending: scheduled, not cancelled, and not currently firing.
     bool live = false;
-    /// An authoritative wheel node or heap entry for this slot still exists.
-    /// The slot may be recycled only once that entry has surfaced and been
-    /// dropped (keeps generations unambiguous under lazy deletion).
-    bool has_entry = false;
   };
 
   /// Slots are allocated in fixed-size chunks so their addresses are stable:
@@ -356,41 +262,7 @@ class EventQueue {
   static constexpr std::uint64_t kChunkShift = 6;
   static constexpr std::uint64_t kChunkSize = 1ull << kChunkShift;
   static constexpr std::uint64_t kNoSlot = ~std::uint64_t{0};
-
-  // ---- hierarchical timing wheel geometry ----
-  // kWheelLevels levels of 2^kLevelBits slots; level k slot spans 2^(8k) ns,
-  // so level 0 is exact-nanosecond resolution (one timestamp per slot — its
-  // FIFO list is already in (time, seq) order) and the whole wheel covers
-  // 2^24 ns ≈ 16.8 ms ahead of the cursor. Anything further is sparse timer
-  // traffic and overflows to the heap. An event 1 ms out inserts at level 2
-  // and cascades twice on its way to dispatch, independent of level count.
-  static constexpr int kLevelBits = 8;
-  static constexpr int kLevelSlots = 1 << kLevelBits;
-  static constexpr int kWheelLevels = 3;
-  static constexpr int kWheelSpanBits = kLevelBits * kWheelLevels;
-  static constexpr std::uint32_t kNilNode = ~std::uint32_t{0};
-
-  /// One lazily-deleted wheel entry; same (seq, id) payload as HeapEntry
-  /// plus the exact timestamp and an intrusive next link (pool index).
-  struct WheelNode {
-    std::int64_t when_ns = 0;
-    std::uint32_t seq = 0;
-    std::uint32_t id = 0;
-    std::uint32_t next = kNilNode;
-  };
-  struct WheelList {
-    std::uint32_t head = kNilNode;
-    std::uint32_t tail = kNilNode;
-  };
-  struct Level {
-    WheelList lists[kLevelSlots];
-    std::uint64_t bits[kLevelSlots / 64] = {0, 0, 0, 0};  ///< slot occupancy
-    /// Occupied-slot count: lets dispatch skip a level's bitmap scan outright
-    /// when the horizon is sparse (a handful of ms-scale timers leaves level 0
-    /// and often level 1 completely empty between firings). Invariant: equals
-    /// the popcount of `bits`; a slot's bit is set iff its list is non-empty.
-    int occupied = 0;
-  };
+  static constexpr std::uint32_t kNoPos = ~std::uint32_t{0};
 
   [[nodiscard]] Slot& slot_at(std::uint64_t id) {
     return chunks_[id >> kChunkShift][id & (kChunkSize - 1)];
@@ -399,457 +271,137 @@ class EventQueue {
     return chunks_[id >> kChunkShift][id & (kChunkSize - 1)];
   }
 
-  std::uint64_t alloc_slot() {
+  std::uint32_t alloc_slot() {
     if (!free_slots_.empty()) {
-      const std::uint64_t id = free_slots_.back();
+      const std::uint32_t id = free_slots_.back();
       free_slots_.pop_back();
       return id;
     }
     // Heap entries address slots with 32 bits. Slots are recycled, so the
     // count only grows with the peak number of simultaneously pending
     // events — 2^32 of them would be a runaway workload, not a sweep.
-    HPCS_CHECK_MSG(slot_count_ < (std::uint64_t{1} << 32),
-                   "EventQueue slot table exceeds 32-bit heap-entry ids");
-    const std::uint64_t id = slot_count_++;
+    HPCS_CHECK_MSG(slot_count_ < kNoPos, "EventQueue slot table exceeds 32-bit heap-entry ids");
+    const auto id = static_cast<std::uint32_t>(slot_count_++);
     if ((id >> kChunkShift) == chunks_.size()) {
       chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
     }
+    pos_.push_back(kNoPos);
     return id;
   }
 
-  // HPCS_HOT_BEGIN — per-event wheel/heap maintenance and dispatch.
+  // HPCS_HOT_BEGIN — per-event heap maintenance.
 
-  /// Route one arm to the wheel or the overflow heap. The wheel takes
-  /// near-cursor arms (level 0: same-instant fan-out and zero-delay chains,
-  /// where batched dispatch always wins) plus anything within its horizon
-  /// once the pending population reaches wheel_min_pending_ — below that a
-  /// 4-to-32-entry heap is cache-resident and strictly faster than paying
-  /// cascade hops. The heap also takes far-future arms, anything behind the
-  /// cursor (legal only after a peek advanced the cursor past the caller's
-  /// clock — rare and merge-safe), and every arm when the wheel is disabled
-  /// (the differential seam). The choice is a pure function of queue state,
-  /// so it is deterministic; firing order is identical either way.
-  void arm(SimTime when, std::uint32_t seq, std::uint32_t id) {
-    const std::int64_t w = when.ns();
-    const std::uint64_t diff = static_cast<std::uint64_t>(w ^ cur_ns_);
-    if (!wheel_enabled_ || w < cur_ns_ || (diff >> kWheelSpanBits) != 0 ||
-        (diff >= kLevelSlots && live_count_ < wheel_min_pending_)) {
-      ++stats_.heap_armed;
-      heap_push(HeapEntry{when, seq, id});
-      return;
-    }
-    ++stats_.wheel_armed;
-    wheel_insert(w, seq, id);
+  /// Destroy a slot's closure and put the slot on the free list. The
+  /// generation bump at the next schedule() keeps old handles stale.
+  void release_slot(std::uint32_t id) {
+    slot_at(id).cb = nullptr;
+    free_slots_.push_back(id);
   }
 
-  [[nodiscard]] std::uint32_t node_alloc() {
-    if (node_free_ != kNilNode) {
-      const std::uint32_t n = node_free_;
-      node_free_ = pool_[n].next;
-      return n;
-    }
-    const std::uint32_t n = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(WheelNode{});
-    return n;
+  /// Store `e` at index `i` and record its position.
+  void place(std::size_t i, const HeapEntry& e) {
+    heap_[i] = e;
+    pos_[e.id] = static_cast<std::uint32_t>(i);
   }
 
-  void node_free(std::uint32_t n) {
-    pool_[n].next = node_free_;
-    node_free_ = n;
-  }
-
-  /// Append an arm to its wheel slot. Appends are chronological, and events
-  /// at the same instant always share one level-0 slot through every
-  /// cascade, so a level-0 list is in (time, seq) order by construction.
-  void wheel_insert(std::int64_t w, std::uint32_t seq, std::uint32_t id) {
-    const std::uint32_t n = node_alloc();
-    WheelNode& node = pool_[n];
-    node.when_ns = w;
-    node.seq = seq;
-    node.id = id;
-    wheel_link(n);
-    ++wheel_nodes_;
-  }
-
-  /// Link node `n` into the slot its timestamp selects relative to the
-  /// current cursor. Shared by fresh arms and cascade relinks (cascades move
-  /// the node itself — no copy, no pool churn).
-  void wheel_link(std::uint32_t n) {
-    WheelNode& node = pool_[n];
-    node.next = kNilNode;
-    // Same-instant arm cache: N CPUs arming the same future tick instant
-    // resolve the level/slot once (the cache is invalidated whenever the
-    // cursor moves, since the level depends on it).
-    if (node.when_ns == link_cache_when_) {
-      WheelList& list = *link_cache_list_;
-      pool_[list.tail].next = n;  // cache hit implies a non-empty list
-      list.tail = n;
-      return;
-    }
-    const std::uint64_t diff = static_cast<std::uint64_t>(node.when_ns ^ cur_ns_);
-    const int lvl = diff == 0 ? 0 : (63 - std::countl_zero(diff)) >> 3;
-    const int slot = static_cast<int>((node.when_ns >> (kLevelBits * lvl)) & (kLevelSlots - 1));
-    WheelList& list = levels_[lvl].lists[slot];
-    if (list.tail == kNilNode) {
-      list.head = n;
-      // Bit set iff list non-empty, so only the empty→occupied transition
-      // touches the bitmap (and the occupancy count that gates level scans).
-      levels_[lvl].bits[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-      ++levels_[lvl].occupied;
-    } else {
-      pool_[list.tail].next = n;
-    }
-    list.tail = n;
-    link_cache_when_ = node.when_ns;
-    link_cache_list_ = &list;
-  }
-
-  /// First occupied slot index >= `from` in a level's bitmap, or -1.
-  [[nodiscard]] static int scan_bits(const std::uint64_t bits[kLevelSlots / 64], int from) {
-    if (from >= kLevelSlots) return -1;
-    int word = from >> 6;
-    std::uint64_t w = bits[word] & (~std::uint64_t{0} << (from & 63));
-    for (;;) {
-      if (w != 0) return (word << 6) + std::countr_zero(w);
-      if (++word == kLevelSlots / 64) return -1;
-      w = bits[word];
-    }
-  }
-
-  [[nodiscard]] WheelList& level0_list(std::int64_t w) {
-    return levels_[0].lists[w & (kLevelSlots - 1)];
-  }
-
-  /// Purge stale nodes off a list front; returns the first live node (left
-  /// on the list) or kNilNode after emptying the list. Mid-list stale nodes
-  /// are purged when they reach the front.
-  std::uint32_t wheel_front_live(WheelList& list) {
-    while (list.head != kNilNode) {
-      const std::uint32_t n = list.head;
-      const WheelNode& node = pool_[n];
-      Slot& slot = slot_at(node.id);
-      if (node.seq == slot.seq) {
-        if (slot.live) return n;
-        // Cancelled: its authoritative node surfaced — recycle the slot.
-        slot.has_entry = false;
-        free_slots_.push_back(node.id);
-      }
-      // else: superseded by reschedule(); drop the duplicate.
-      ++stats_.stale_dropped;
-      wheel_unlink_front(list, n);
-      node_free(n);
-      --wheel_nodes_;
-    }
-    return kNilNode;
-  }
-
-  void wheel_unlink_front(WheelList& list, std::uint32_t n) {
-    list.head = pool_[n].next;
-    if (list.head == kNilNode) {
-      list.tail = kNilNode;
-      link_cache_when_ = kNoLinkCache;  // a hit must never append to an empty list
-      // The caller is positioned on this slot, so recompute its bit from the
-      // node's own timestamp (valid at any level via the same masking).
-      const WheelNode& node = pool_[n];
-      const std::uint64_t diff = static_cast<std::uint64_t>(node.when_ns ^ cur_ns_);
-      const int lvl = diff == 0 ? 0 : (63 - std::countl_zero(diff)) >> 3;
-      const int slot =
-          static_cast<int>((node.when_ns >> (kLevelBits * lvl)) & (kLevelSlots - 1));
-      levels_[lvl].bits[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-      --levels_[lvl].occupied;
-    }
-  }
-
-  /// Redistribute level-k slot `s` into lower levels relative to the (just
-  /// advanced) cursor by relinking the nodes in place. Relative list order
-  /// is preserved and same-instant nodes always move together, so level-0
-  /// FIFO order survives cascades. Stale nodes are purged here instead of
-  /// moved.
-  void cascade(int k, int s) {
-    ++stats_.wheel_cascades;
-    WheelList list = levels_[k].lists[s];
-    levels_[k].lists[s] = WheelList{};
-    levels_[k].bits[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
-    --levels_[k].occupied;
-    std::uint32_t n = list.head;
-    while (n != kNilNode) {
-      const std::uint32_t next = pool_[n].next;
-      const WheelNode& node = pool_[n];
-      Slot& slot = slot_at(node.id);
-      if (node.seq == slot.seq && slot.live) {
-        wheel_link(n);
-      } else {
-        ++stats_.stale_dropped;
-        --wheel_nodes_;
-        if (node.seq == slot.seq) {
-          // Cancelled: its authoritative node surfaced — recycle the slot.
-          slot.has_entry = false;
-          free_slots_.push_back(node.id);
-        }
-        node_free(n);
-      }
-      n = next;
-    }
-  }
-
-  /// Advance the cursor to the earliest wheel entry with time <= limit and
-  /// report its timestamp; false when there is none (the cursor then stays
-  /// at or before `limit`, so nothing within the wheel was skipped). The
-  /// search cascades higher-level slots encountered on the way down; the
-  /// reported slot may still turn out to be stale-only — callers purge and
-  /// retry.
-  bool wheel_find_next(std::int64_t limit, std::int64_t& out) {
-    for (;;) {
-      // Level 0: first occupied slot in the current 256 ns page. A sparse
-      // horizon (a few ms-scale timers) leaves level 0 empty on almost every
-      // search — the occupancy count skips the bitmap scan entirely.
-      int s0 = -1;
-      if (levels_[0].occupied != 0) {
-        s0 = scan_bits(levels_[0].bits, static_cast<int>(cur_ns_ & (kLevelSlots - 1)));
-      } else {
-        ++stats_.wheel_level_skips;
-      }
-      if (s0 >= 0) {
-        const std::int64_t w = (cur_ns_ & ~std::int64_t{kLevelSlots - 1}) | s0;
-        if (w > limit) return false;
-        if (w != cur_ns_) {
-          cur_ns_ = w;
-          link_cache_when_ = kNoLinkCache;  // cursor moved: levels remap
-        }
-        out = w;
-        return true;
-      }
-      // Page exhausted: find the next occupied slot of the nearest level
-      // that has one. The first occupied slot in level order is the earliest
-      // range — times are lexicographic in the level digits. Peek the slot's
-      // minimum timestamp first: if the whole slot is past the limit it
-      // stays where it is (no wasted cascade); otherwise the cursor jumps
-      // straight to the minimum and the slot cascades exactly once — the
-      // earliest nodes land directly in level 0, however high the slot was
-      // (a 1 ms periodic re-arm costs one cascade hop, not level-count).
-      bool cascaded = false;
-      for (int k = 1; k < kWheelLevels; ++k) {
-        if (levels_[k].occupied == 0) {
-          ++stats_.wheel_level_skips;
-          continue;
-        }
-        const int shift = kLevelBits * k;
-        const int idx = static_cast<int>((cur_ns_ >> shift) & (kLevelSlots - 1));
-        const int s = scan_bits(levels_[k].bits, idx + 1);
-        if (s < 0) continue;
-        const std::int64_t base =
-            (cur_ns_ & ~((std::int64_t{1} << (shift + kLevelBits)) - 1)) |
-            (std::int64_t{s} << shift);
-        if (base > limit) return false;
-        std::int64_t mn = std::numeric_limits<std::int64_t>::max();
-        for (std::uint32_t n = levels_[k].lists[s].head; n != kNilNode; n = pool_[n].next) {
-          if (pool_[n].when_ns < mn) mn = pool_[n].when_ns;
-        }
-        // The slot MUST cascade even when its whole content is past the
-        // limit: its range starts at or before the limit, so the cursor may
-        // enter it next (e.g. via a heap dispatch at the limit), and the
-        // idx+1 scan start is only sound if slots containing the cursor are
-        // empty. Advance the cursor to the slot minimum when that is
-        // reachable — the earliest nodes then land directly in level 0 and
-        // dispatch without re-scanning — and only to the slot base
-        // otherwise (never past the limit).
-        cur_ns_ = mn <= limit ? mn : base;
-        link_cache_when_ = kNoLinkCache;  // cursor moved: levels remap
-        cascade(k, s);
-        if (mn <= limit) {
-          // The minimum node relinked with zero distance, i.e. into level 0
-          // at the cursor — unless it was stale and got purged. Report the
-          // slot directly; the caller's stale sweep copes with either case.
-          out = mn;
-          return true;
-        }
-        cascaded = true;
-        break;
-      }
-      if (!cascaded) return false;  // every remaining node was purged as stale
-    }
-  }
-
-  /// Earliest pending event time <= deadline across both structures,
-  /// without dispatching. Shares all the lazy-purge machinery.
-  bool peek_next(SimTime deadline, SimTime& out) {
-    for (;;) {
-      if (active_batch_) {
-        if (active_when_ > deadline.ns()) return false;
-        if (wheel_front_live(*active_list_) != kNilNode) {
-          out = SimTime(active_when_);
-          return true;
-        }
-        active_batch_ = false;
-        continue;
-      }
-      const bool heap_has = heap_peek();
-      const std::int64_t heap_when =
-          heap_has ? heap_.front().when.ns() : std::numeric_limits<std::int64_t>::max();
-      const std::int64_t limit = heap_when < deadline.ns() ? heap_when : deadline.ns();
-      std::int64_t w = 0;
-      if (wheel_nodes_ != 0 && wheel_find_next(limit, w)) {
-        if (wheel_front_live(level0_list(w)) == kNilNode) continue;
-        out = SimTime(w);
-        return true;
-      }
-      if (!heap_has || heap_when > deadline.ns()) return false;
-      out = SimTime(heap_when);
-      return true;
-    }
-  }
-
-  // Hand-rolled binary-heap sifts. Unlike std::pop_heap's hole-to-leaf
-  // strategy, sift-down stops as soon as the moved element dominates both
-  // children — for recurring events (N CPUs ticking at the same instant) the
-  // replacement usually belongs right at the top, making this O(1) in
-  // practice. Pop order depends only on the (when, seq) total order, so the
-  // layout is free to differ from std::*_heap without affecting determinism.
-  void heap_push(HeapEntry e) {
-    std::size_t i = heap_.size();
-    heap_.push_back(e);
+  /// Hand-rolled sifts that move the hole and write `e` once. Sift-down
+  /// stops as soon as `e` dominates both children — a re-armed tick
+  /// usually belongs near the top, so this is O(1) in practice. Pop order
+  /// depends only on the (when, seq) total order, so the layout is free to
+  /// differ from std::*_heap without affecting determinism.
+  void sift_up(std::size_t i, const HeapEntry& e) {
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
       if (!(heap_[parent] > e)) break;
-      heap_[i] = heap_[parent];
+      place(i, heap_[parent]);
       i = parent;
     }
-    heap_[i] = e;
+    place(i, e);
   }
 
-  void heap_pop() {
-    const std::size_t n = heap_.size() - 1;
-    if (n > 0) {
-      const HeapEntry e = heap_[n];
-      // Descend the hole along the smaller-child path to a leaf, then sift
-      // the displaced last element back up — ~1 comparison per level instead
-      // of 2, which wins when draining long runs of stale entries.
-      std::size_t i = 0;
-      std::size_t child = 1;
-      while (child < n) {
-        if (child + 1 < n && heap_[child] > heap_[child + 1]) ++child;
-        heap_[i] = heap_[child];
-        i = child;
-        child = 2 * i + 1;
-      }
-      while (i > 0) {
-        const std::size_t parent = (i - 1) / 2;
-        if (!(heap_[parent] > e)) break;
-        heap_[i] = heap_[parent];
-        i = parent;
-      }
-      heap_[i] = e;
+  void sift_down(std::size_t i, const HeapEntry& e) {
+    const std::size_t n = heap_.size();
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && heap_[child] > heap_[child + 1]) ++child;
+      if (!(e > heap_[child])) break;
+      place(i, heap_[child]);
+      i = child;
     }
+    place(i, e);
+  }
+
+  void heap_push(const HeapEntry& e) {
+    heap_.push_back(e);
+    sift_up(heap_.size() - 1, e);
+  }
+
+  /// Replace the entry at index `i` by `e` (same slot id, new key).
+  void rekey(std::size_t i, const HeapEntry& e) {
+    if (i > 0 && heap_[(i - 1) / 2] > e) {
+      sift_up(i, e);
+    } else {
+      sift_down(i, e);
+    }
+  }
+
+  /// Remove the entry at index `i`; the last entry fills the hole.
+  void heap_remove(std::size_t i) {
+    pos_[heap_[i].id] = kNoPos;
+    const HeapEntry last = heap_.back();
     heap_.pop_back();
-  }
-
-  /// Pop superseded / cancelled entries off the heap top; true if an
-  /// authoritative live entry remains.
-  bool heap_peek() {
-    while (!heap_.empty()) {
-      const HeapEntry& top = heap_.front();
-      Slot& slot = slot_at(top.id);
-      if (top.seq == slot.seq) {
-        if (slot.live) return true;
-        // Cancelled: its authoritative entry has surfaced — recycle.
-        slot.has_entry = false;
-        free_slots_.push_back(top.id);
-      }
-      // else: superseded by reschedule(); drop the duplicate.
-      ++stats_.stale_dropped;
-      heap_pop();
-    }
-    return false;
-  }
-
-  /// Dispatch the (already stale-swept) heap top. The wheel search bounded
-  /// by this entry's time found nothing, so jumping the cursor here skips no
-  /// wheel slot.
-  void dispatch_heap_top(SimTime& clock) {
-    const HeapEntry top = heap_.front();
-    heap_pop();
-    if (top.when.ns() > cur_ns_) {
-      cur_ns_ = top.when.ns();
-      link_cache_when_ = kNoLinkCache;  // cursor moved: levels remap
-    }
-    clock = top.when;
-    ++stats_.dispatched;
-    run_slot(top.id);
-  }
-
-  /// Dispatch a wheel node already unlinked from its list (cursor sits at
-  /// its timestamp).
-  void dispatch_wheel_node(std::uint32_t n, SimTime& clock) {
-    const WheelNode node = pool_[n];
-    node_free(n);
-    --wheel_nodes_;
-    clock = SimTime(node.when_ns);
-    ++stats_.dispatched;
-    ++stats_.wheel_dispatched;
-    run_slot(node.id);
-  }
-
-  /// Shared dispatch epilogue: fire the slot's callback in place and recycle
-  /// the slot unless the callback re-armed it.
-  void run_slot(std::uint64_t id) {
-    Slot& slot = slot_at(id);
-    slot.live = false;
-    slot.has_entry = false;
-    --live_count_;
-    firing_slot_ = id;
-    firing_gen_ = slot.gen;
-    // Chunk addresses are stable, so the closure runs in place; scheduling
-    // from inside the callback cannot move it.
-    slot.cb();
-    firing_slot_ = kNoSlot;
-    Slot& after = slot_at(id);
-    if (after.gen == firing_gen_ && !after.live && !after.has_entry) {
-      after.cb = nullptr;  // fired for good: destroy the closure, recycle
-      free_slots_.push_back(id);
-    }
+    if (i < heap_.size()) rekey(i, last);
   }
 
   // HPCS_HOT_END
 
-  std::vector<HeapEntry> heap_;  ///< far-future overflow min-heap by (when, seq)
+  std::vector<HeapEntry> heap_;  ///< min-heap by (when, seq); one entry per event
+  std::vector<std::uint32_t> pos_;  ///< slot id -> heap index, kNoPos if none
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint64_t slot_count_ = 0;
-  std::vector<std::uint64_t> free_slots_;
+  std::vector<std::uint32_t> free_slots_;
   /// Wrapping 32-bit sequence window (see HeapEntry::operator>).
   std::uint32_t next_seq_ = 0;
   std::size_t live_count_ = 0;
-  /// Slot currently executing inside run_slot (kNoSlot otherwise); its
+  /// Slot currently executing inside run_next (kNoSlot otherwise); its
   /// callback may re-arm itself via reschedule().
   std::uint64_t firing_slot_ = kNoSlot;
   std::uint64_t firing_gen_ = 0;
   EventQueueStats stats_;
-
-  // ---- timing wheel state ----
-  Level levels_[kWheelLevels];
-  std::vector<WheelNode> pool_;        ///< node storage; stable enough (indices)
-  std::uint32_t node_free_ = kNilNode; ///< node freelist head
-  std::size_t wheel_nodes_ = 0;        ///< nodes resident in the wheel (incl. stale)
-  /// Wheel cursor: all wheel slots strictly before it are empty. Advances
-  /// monotonically with dispatch/search; never past an undispatched entry.
-  std::int64_t cur_ns_ = 0;
-  /// Active same-instant batch: dispatch resumes from this level-0 list
-  /// without re-searching until it drains past `active_when_`.
-  bool active_batch_ = false;
-  std::int64_t active_when_ = 0;
-  WheelList* active_list_ = nullptr;
-  std::int64_t batch_len_ = 0;
-  /// Same-instant arm cache (see wheel_link); invalid whenever the cursor
-  /// moves or the cached list drains.
-  static constexpr std::int64_t kNoLinkCache = std::numeric_limits<std::int64_t>::min();
-  std::int64_t link_cache_when_ = kNoLinkCache;
-  WheelList* link_cache_list_ = nullptr;
-  bool wheel_enabled_ = true;
-  /// Measured wheel/heap crossover for non-level-0 traffic (see
-  /// docs/performance.md): below this many pending events the heap's two or
-  /// three cache-hot sift compares beat a cascade hop.
-  static constexpr std::size_t kWheelMinPendingDefault = 32;
-  std::size_t wheel_min_pending_ = kWheelMinPendingDefault;
-  inline static std::atomic<bool> default_wheel_enabled_{true};
 };
+
+inline std::string EventQueue::check_invariants() const {
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    const HeapEntry& e = heap_[i];
+    if (e.id >= slot_count_) return "heap[" + std::to_string(i) + "] names no slot";
+    if (i > 0 && heap_[(i - 1) / 2] > e) {
+      return "heap order violated at index " + std::to_string(i);
+    }
+    if (pos_[e.id] != i) {
+      return "pos[" + std::to_string(e.id) + "] = " + std::to_string(pos_[e.id]) +
+             " but the entry sits at heap index " + std::to_string(i);
+    }
+  }
+  // pos_ matching every heap index already rules out a duplicate entry; now
+  // check that exactly the pending slots (and a firing one) hold an entry.
+  std::size_t live = 0;
+  for (std::uint64_t id = 0; id < slot_count_; ++id) {
+    const bool in_heap = pos_[id] != kNoPos;
+    if (in_heap && (pos_[id] >= heap_.size() || heap_[pos_[id]].id != id)) {
+      return "pos[" + std::to_string(id) + "] points at another slot's entry";
+    }
+    const bool live_slot = slot_at(id).live;
+    live += live_slot ? 1 : 0;
+    if (live_slot && !in_heap) return "pending slot " + std::to_string(id) + " has no entry";
+    if (!live_slot && in_heap && id != firing_slot_) {
+      return "slot " + std::to_string(id) + " is not pending but holds an entry";
+    }
+  }
+  if (live != live_count_) {
+    return std::to_string(live) + " pending slots but size() is " + std::to_string(live_count_);
+  }
+  return {};
+}
 
 }  // namespace hpcs::sim

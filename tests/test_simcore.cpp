@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -170,7 +171,7 @@ TEST(EventQueueReschedule, MovesPendingEventWithoutTouchingCallback) {
   q.schedule(SimTime(20), [&] { order.push_back(2); });
   EXPECT_TRUE(q.reschedule(h, SimTime(30)));  // 1 now fires after 2
   EXPECT_TRUE(q.pending(h));
-  EXPECT_EQ(q.size(), 2u);  // the superseded heap entry is not a live event
+  EXPECT_EQ(q.size(), 2u);  // re-keyed in place: still one event
   while (!q.empty()) q.pop_and_run();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
@@ -221,12 +222,11 @@ TEST(EventQueueReschedule, FifoOrderFollowsRescheduleTime) {
 }
 
 TEST(EventQueueReschedule, CancelThenReuseKeepsGenerationsDistinct) {
-  // A slot whose cancelled entry is still lazily parked in the heap must not
-  // resurrect the old handle when the slot is eventually recycled.
+  // A cancelled slot is recycled; the recycled slot must not resurrect the
+  // old handle.
   EventQueue q;
   EventHandle old = q.schedule(SimTime(50), [] { FAIL() << "cancelled event fired"; });
   q.cancel(old);
-  // Drain: the cancelled entry surfaces, the slot is recycled.
   q.schedule(SimTime(1), [] {});
   while (!q.empty()) q.pop_and_run();
   bool fired = false;
@@ -269,74 +269,60 @@ TEST(EventQueueClear, DropsPendingEventsAndHandles) {
   EXPECT_FALSE(fired);
 }
 
-// --- timing-wheel edge cases ----------------------------------------------
-// The wheel keeps near-future events in hashed slot lists and overflows
-// far-future ones into the legacy heap; these tests pin the seams between
-// the two structures. set_wheel_min_pending(0) forces every in-horizon arm
-// onto the wheel so a tiny test population actually exercises it.
+// --- indexed-heap edge cases ---------------------------------------------
+// Every pending event owns exactly one heap entry: cancel() removes it,
+// reschedule() re-keys it in place, and the firing event's entry stays in
+// the heap until its callback returns. These tests pin those paths.
 
-TEST(EventQueueWheel, RescheduleCrossesWheelHeapBoundaryBothWays) {
+TEST(EventQueueHeap, RescheduleMovesEventsBothWays) {
   EventQueue q;
-  q.set_wheel_min_pending(0);
   std::vector<int> order;
-  // `a` arms inside the wheel horizon (~16.8 ms), `b` beyond it (heap).
   EventHandle a = q.schedule(SimTime(1'000), [&] { order.push_back(1); });
   EventHandle b = q.schedule(SimTime(50'000'000), [&] { order.push_back(2); });
-  EXPECT_GE(q.stats().wheel_armed, 1);
-  EXPECT_GE(q.stats().heap_armed, 1);
-  // Swap the structures: a goes past the horizon, b comes inside it.
+  // Swap them: a moves far out (sift down), b moves to the front (sift up).
   EXPECT_TRUE(q.reschedule(a, SimTime(60'000'000)));
   EXPECT_TRUE(q.reschedule(b, SimTime(2'000)));
   EXPECT_EQ(q.next_time(), SimTime(2'000));
+  EXPECT_EQ(q.check_invariants(), "");
   while (!q.empty()) q.pop_and_run();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
 
-TEST(EventQueueWheel, CancelOfWheelResidentEventNeverFires) {
+TEST(EventQueueHeap, CancelOfPendingEventNeverFires) {
   EventQueue q;
-  q.set_wheel_min_pending(0);
   std::vector<int> order;
   EventHandle a = q.schedule(SimTime(500), [&] { order.push_back(1); });
   q.schedule(SimTime(600), [&] { order.push_back(2); });
-  EXPECT_GE(q.stats().wheel_armed, 2);
   EXPECT_TRUE(q.cancel(a));
   EXPECT_FALSE(q.cancel(a));
   EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.check_invariants(), "");
   while (!q.empty()) q.pop_and_run();
   EXPECT_EQ(order, (std::vector<int>{2}));
-  // The cancelled wheel node was lazily purged, not dispatched.
-  EXPECT_GE(q.stats().stale_dropped, 1);
 }
 
-TEST(EventQueueWheel, SeqWrapPreservesFifoAcrossCascadeAndHeapMerge) {
+TEST(EventQueueHeap, SeqWrapPreservesFifo) {
   // 64 simultaneous events whose insertion sequences wrap through
-  // UINT32_MAX mid-batch. With the default arm policy the first ~32 land in
-  // the heap (population below the threshold) and the rest in the wheel's
-  // level-2 slot, so the drain exercises the wrap-aware tiebreak in the
-  // heap's ordering, in the heap-vs-wheel merge, and across a cascade.
+  // UINT32_MAX mid-batch: the wrap-aware tiebreak must keep them FIFO.
   EventQueue q;
   q.set_next_seq_for_test(0xFFFFFFE0u);
   std::vector<int> order;
-  const SimTime when(0x300000);  // level-2 distance from cursor 0
+  const SimTime when(0x300000);
   for (int i = 0; i < 64; ++i) {
     q.schedule(when, [&order, i] { order.push_back(i); });
   }
-  EXPECT_GE(q.stats().heap_armed, 1);
-  EXPECT_GE(q.stats().wheel_armed, 1);
   while (!q.empty()) q.pop_and_run();
   ASSERT_EQ(order.size(), 64u);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  EXPECT_GE(q.stats().wheel_cascades, 1);
 }
 
-TEST(EventQueueWheel, ClearDropsWheelAndHeapResidents) {
+TEST(EventQueueHeap, ClearDropsNearAndFarEvents) {
   EventQueue q;
-  q.set_wheel_min_pending(0);
   bool fired = false;
   std::vector<EventHandle> handles;
   for (int i = 0; i < 10; ++i) {
-    handles.push_back(q.schedule(SimTime(100 + i), [&] { fired = true; }));       // wheel
-    handles.push_back(q.schedule(SimTime(50'000'000 + i), [&] { fired = true; }));  // heap
+    handles.push_back(q.schedule(SimTime(100 + i), [&] { fired = true; }));
+    handles.push_back(q.schedule(SimTime(50'000'000 + i), [&] { fired = true; }));
   }
   EXPECT_EQ(q.size(), 20u);
   q.clear();
@@ -352,113 +338,102 @@ TEST(EventQueueWheel, ClearDropsWheelAndHeapResidents) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(EventQueueWheel, InCallbackSameInstantReArmJoinsTheLiveBatch) {
+TEST(EventQueueHeap, InCallbackSameInstantReArmFiresAfterQueuedPeers) {
   // Re-arming the firing event to its own timestamp must dispatch it again
   // within the same instant, after the events already queued there (its new
-  // insertion sequence is larger) — identically with and without the wheel.
-  auto run = [](bool wheel) {
-    EventQueue q;
-    q.set_wheel_enabled(wheel);
-    q.set_wheel_min_pending(0);
-    std::vector<int> order;
-    int rearms = 0;
-    EventHandle a;
-    a = q.schedule(SimTime(100), [&] {
-      order.push_back(1);
-      if (rearms++ == 0) {
-        ASSERT_TRUE(q.reschedule(a, SimTime(100)));
-      }
-    });
-    q.schedule(SimTime(100), [&] { order.push_back(2); });
-    while (!q.empty()) q.pop_and_run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 1}));
-  };
-  run(true);
-  run(false);
+  // insertion sequence is larger).
+  EventQueue q;
+  std::vector<int> order;
+  int rearms = 0;
+  EventHandle a;
+  a = q.schedule(SimTime(100), [&] {
+    order.push_back(1);
+    if (rearms++ == 0) {
+      ASSERT_TRUE(q.reschedule(a, SimTime(100)));
+    }
+  });
+  q.schedule(SimTime(100), [&] { order.push_back(2); });
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 1}));
 }
 
-TEST(EventQueueWheel, RoutingPolicyNeverAffectsFiringOrder) {
-  // The adaptive arm policy only picks a container; the dispatch order is a
-  // pure function of (when, seq). Drive an identical random workload through
-  // wheel-always, wheel-never, and the default adaptive routing and demand
-  // the same firing sequence.
-  auto run = [](int flavor) {
-    EventQueue q;
-    if (flavor == 0) q.set_wheel_min_pending(0);
-    if (flavor == 1) q.set_wheel_enabled(false);
-    Rng rng(99);
-    std::vector<int> order;
-    std::vector<EventHandle> handles;
-    std::int64_t now = 0;
-    int next_id = 0;
-    for (int round = 0; round < 3000; ++round) {
-      const double dice = rng.uniform();
-      if (dice < 0.55 || q.empty()) {
-        const int id = next_id++;
-        handles.push_back(q.schedule(SimTime(now + rng.uniform_int(0, 40'000'000)),
-                                     [&order, id] { order.push_back(id); }));
-      } else if (dice < 0.7 && !handles.empty()) {
-        q.cancel(handles[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1))]);
-      } else {
-        now = q.next_time().ns();
-        q.pop_and_run();
-      }
-    }
-    while (!q.empty()) {
-      now = q.next_time().ns();
-      q.pop_and_run();
-    }
-    return order;
-  };
-  const auto wheel_always = run(0);
-  const auto wheel_never = run(1);
-  const auto adaptive = run(2);
-  EXPECT_EQ(wheel_always, wheel_never);
-  EXPECT_EQ(wheel_always, adaptive);
+TEST(EventQueueHeap, SizeAndEmptyExcludeTheFiringEvent) {
+  EventQueue q;
+  EventHandle a;
+  std::size_t size_inside = 99;
+  bool empty_inside = false;
+  bool self_pending = true;
+  a = q.schedule(SimTime(10), [&] {
+    size_inside = q.size();
+    empty_inside = q.empty();
+    self_pending = q.pending(a);
+  });
+  q.pop_and_run();
+  EXPECT_EQ(size_inside, 0u);
+  EXPECT_TRUE(empty_inside);
+  EXPECT_FALSE(self_pending);
+
+  // With a second event pending, only that one counts.
+  EventHandle b = q.schedule(SimTime(20), [&] {
+    size_inside = q.size();
+    empty_inside = q.empty();
+  });
+  q.schedule(SimTime(30), [] {});
+  q.pop_and_run();
+  EXPECT_EQ(size_inside, 1u);
+  EXPECT_FALSE(empty_inside);
+  EXPECT_FALSE(q.pending(b));
+  EXPECT_EQ(q.size(), 1u);
 }
 
-TEST(EventQueueWheel, RandomScheduleCancelStressWheelForced) {
-  // The RandomScheduleCancelStress property with every in-horizon arm forced
-  // onto the wheel: monotone non-decreasing pop order, every live event
-  // fires exactly once, every cancelled one never fires.
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed);
-    EventQueue q;
-    q.set_wheel_min_pending(0);
-    std::vector<EventHandle> handles;
-    std::vector<int> fired(2000, 0);
-    std::vector<bool> cancelled(2000, false);
-    int next_id = 0;
-    for (int round = 0; round < 2000; ++round) {
-      const double dice = rng.uniform();
-      if (dice < 0.6 || q.empty()) {
-        const int id = next_id++;
-        if (id < 2000) {
-          handles.push_back(q.schedule(SimTime(rng.uniform_int(0, 100000)),
-                                       [&fired, id] { ++fired[static_cast<std::size_t>(id)]; }));
-        }
-      } else if (dice < 0.8 && !handles.empty()) {
-        const auto pick = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
-        if (q.cancel(handles[pick])) cancelled[pick] = true;
-      }
-    }
-    std::int64_t last = -1;
-    while (!q.empty()) {
-      const SimTime t = q.next_time();
-      EXPECT_GE(t.ns(), last) << "seed " << seed;
-      last = t.ns();
-      q.pop_and_run();
-    }
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-      if (cancelled[i]) {
-        EXPECT_EQ(fired[i], 0) << "seed " << seed << " cancelled event " << i << " fired";
-      } else {
-        EXPECT_EQ(fired[i], 1) << "seed " << seed << " event " << i;
-      }
-    }
-  }
+TEST(EventQueueHeap, RearmThenCancelInsideOwnCallbackNeverFiresAgain) {
+  EventQueue q;
+  EventHandle a;
+  int fired = 0;
+  std::string inside;
+  a = q.schedule(SimTime(10), [&] {
+    ++fired;
+    EXPECT_FALSE(q.cancel(a));  // not pending while it fires
+    ASSERT_TRUE(q.reschedule(a, SimTime(20)));
+    EXPECT_TRUE(q.pending(a));
+    EXPECT_EQ(q.size(), 2u);  // itself, re-armed, and the event at 30
+    EXPECT_TRUE(q.cancel(a));
+    EXPECT_FALSE(q.pending(a));
+    EXPECT_EQ(q.size(), 1u);
+    inside = q.check_invariants();
+  });
+  bool other = false;
+  q.schedule(SimTime(30), [&] { other = true; });
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(other);
+  EXPECT_EQ(inside, "");
+  EXPECT_FALSE(q.pending(a));
+  EXPECT_FALSE(q.reschedule(a, SimTime(40)));
+  EXPECT_EQ(q.check_invariants(), "");
+}
+
+TEST(EventQueueHeap, CancelAndRekeyOthersFromCallbackKeepOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  EventHandle b, c, d;
+  std::string inside;
+  q.schedule(SimTime(10), [&] {
+    order.push_back(0);
+    EXPECT_TRUE(q.cancel(c));                     // 30: never fires
+    EXPECT_TRUE(q.reschedule(d, SimTime(15)));    // 40 -> 15: sifts up
+    EXPECT_TRUE(q.reschedule(b, SimTime(25)));    // 20 -> 25: sifts down
+    q.schedule(SimTime(10), [&] { order.push_back(5); });  // zero-delay follow-up
+    EXPECT_EQ(q.size(), 4u);
+    inside = q.check_invariants();
+  });
+  b = q.schedule(SimTime(20), [&] { order.push_back(1); });
+  c = q.schedule(SimTime(30), [&] { order.push_back(2); });
+  d = q.schedule(SimTime(40), [&] { order.push_back(3); });
+  q.schedule(SimTime(20), [&] { order.push_back(4); });
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(inside, "");
+  EXPECT_EQ(order, (std::vector<int>{0, 5, 3, 4, 1}));
 }
 
 // Determinism: two identical runs produce the identical firing order.
