@@ -75,13 +75,13 @@ void Kernel::start() {
     c.rq.idle = c.idle_task.get();
     c.rq.curr = c.idle_task.get();
     if (cfg_.balance_interval_ticks > 0) {
-      // First tick with (ticks + cpu) % interval == 0, expressed as a
-      // countdown so on_tick never divides.
+      // First tick n (1-based) with (n + cpu) % interval == 0, expressed as
+      // a countdown so tick_cpu never divides.
       const std::int64_t n = cfg_.balance_interval_ticks;
       c.balance_countdown = (n - (1 + cpu) % n) % n + 1;
     }
-    c.tick_event = sim_->schedule_in(cfg_.tick, [this, cpu] { on_tick(cpu); });
   }
+  tick_event_ = sim_->schedule_in(cfg_.tick, [this] { on_tick(); });
   chip_.set_listener([this](CoreId core) { on_speed_change(core); });
   // Every CPU boots idle: start their snooze timers.
   for (CpuId cpu = 0; cpu < topo_.num_cpus(); ++cpu) arm_snooze(cpu);
@@ -630,15 +630,31 @@ void Kernel::set_nice(Task& t, int nice) { t.nice = std::clamp(nice, -20, 19); }
 // Tick + balancing
 // ---------------------------------------------------------------------------
 
-// HPCS_HOT_BEGIN — the highest-volume event in the simulator (one per CPU
-// per simulated millisecond); the schedule_in fallback below captures only
-// [this, cpu], which fits InplaceFunction's inline buffer.
-void Kernel::on_tick(CpuId cpu) {
-  CpuState& c = cs(cpu);
-  ++c.ticks;
+// HPCS_HOT_BEGIN — the highest-volume event in the simulator: the machine
+// tick, one event per kernel per simulated millisecond.
+//
+// Linux ticks each CPU separately; here one event ticks every CPU in index
+// order, and the result is the same event order as one tick event per CPU.
+// Per-CPU ticks would all share one phase (start() would arm them together),
+// so they would fire back to back at each instant, CPU 0 first. Nothing can
+// land between two of them, because a tick only schedules zero-delay events:
+// resched_cpu, directly or through migrate -> maybe_preempt. Those sort after
+// every tick already pending at that instant. The precondition this code
+// keeps: a tick never schedules a non-zero-delay event.
+void Kernel::on_tick() {
   // Windowed-snapshot flush rides the tick (sim-time driven, so the series
   // is exactly as deterministic as the totals). Two compares when inactive.
   if (obs_ != nullptr) obs_->advance_window(now());
+  const auto n = static_cast<CpuId>(cpus_.size());
+  for (CpuId cpu = 0; cpu < n; ++cpu) tick_cpu(cpu);
+  // Recurring tick: re-arm the firing event in place (no slot churn). Only a
+  // stale handle can fail here, and that is a bug, not a case to recover.
+  const bool rearmed = sim_->reschedule_in(tick_event_, cfg_.tick);
+  HPCS_CHECK_MSG(rearmed, "machine tick lost its own event handle");
+}
+
+void Kernel::tick_cpu(CpuId cpu) {
+  CpuState& c = cpus_[static_cast<std::size_t>(cpu)];
   Task* curr = c.rq.curr;
   if (curr != nullptr && curr != c.rq.idle) {
     flush_account(*curr);
@@ -649,11 +665,6 @@ void Kernel::on_tick(CpuId cpu) {
     for (const auto& cls : classes_) {
       if (cls->wants_balance()) balance_pull(cpu, *cls);
     }
-  }
-  // Recurring tick: re-arm the firing event in place (no slot churn). This
-  // is the highest-volume event in the simulator — one per CPU per 1 ms.
-  if (!sim_->reschedule_in(c.tick_event, cfg_.tick)) {
-    c.tick_event = sim_->schedule_in(cfg_.tick, [this, cpu] { on_tick(cpu); });
   }
   if (c.rq.need_resched) {
     c.rq.need_resched = false;

@@ -166,11 +166,9 @@ class Kernel {
     double seg_speed = 0.0;
     sim::EventHandle exec_event;
     bool resched_pending = false;
-    sim::EventHandle tick_event;
     sim::EventHandle snooze_event;
-    std::int64_t ticks = 0;
-    // Ticks remaining until the next balance pass; replaces the per-tick
-    // `(ticks + cpu) % interval` divide while firing on the same ticks.
+    // Ticks remaining until this CPU's next balance pass: it fires on the
+    // ticks n (1-based) with (n + cpu) % interval == 0, without a divide.
     std::int64_t balance_countdown = 0;
   };
 
@@ -199,7 +197,8 @@ class Kernel {
   void do_wake(Task& t);
 
   // Tick + balancing.
-  void on_tick(CpuId cpu);
+  void on_tick();
+  void tick_cpu(CpuId cpu);
   bool balance_pull(CpuId cpu, SchedClass& cls);
   void migrate(Task& t, CpuId dst);
 
@@ -218,6 +217,7 @@ class Kernel {
   std::vector<int> class_runnable_;
   int cfs_index_ = -1;
   std::vector<CpuState> cpus_;
+  sim::EventHandle tick_event_;  ///< the machine tick: one event ticks every CPU
   std::vector<std::unique_ptr<Task>> tasks_;
   Pid next_pid_ = 1;
   bool started_ = false;
