@@ -7,7 +7,8 @@ namespace hpcs::p5 {
 Chip::Chip(int num_cores, const ThroughputParams& params) {
   HPCS_CHECK_MSG(num_cores > 0, "chip needs at least one core");
   cores_.reserve(static_cast<std::size_t>(num_cores));
-  for (CoreId c = 0; c < num_cores; ++c) cores_.emplace_back(c, params);
+  const auto table = std::make_shared<const SpeedTable>(params);
+  for (CoreId c = 0; c < num_cores; ++c) cores_.emplace_back(c, table);
 }
 
 SmtCore& Chip::core(CoreId c) {

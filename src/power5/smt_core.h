@@ -1,11 +1,13 @@
 #pragma once
 // One POWER5 core: two SMT contexts whose speeds are coupled through the
 // decode-priority arbitration. The kernel updates context state (priority,
-// active) and subscribes to speed changes so in-flight compute phases can be
-// re-linearized.
+// active, snoozed) and subscribes to speed changes so in-flight compute
+// phases can be re-linearized. Every state change reads both speeds from a
+// SpeedTable, which a Chip builds once and shares among its cores.
 
 #include <array>
 #include <functional>
+#include <memory>
 
 #include "common/types.h"
 #include "power5/hw_priority.h"
@@ -21,13 +23,17 @@ class SmtCore {
   /// Called whenever the speed of either context may have changed.
   using SpeedChangeListener = std::function<void(CoreId)>;
 
-  SmtCore(CoreId id, const ThroughputParams& params)
-      : id_(id), params_(params), lut_(params_) {
+  /// A core reading its speeds from `table` (shared with its sibling cores).
+  SmtCore(CoreId id, std::shared_ptr<const SpeedTable> table)
+      : id_(id), table_(std::move(table)) {
     prio_.fill(kDefaultPrio);
     active_.fill(false);
     snoozed_.fill(false);
     recompute();
   }
+  /// A stand-alone core with a table of its own.
+  SmtCore(CoreId id, const ThroughputParams& params)
+      : SmtCore(id, std::make_shared<const SpeedTable>(params)) {}
 
   [[nodiscard]] CoreId id() const { return id_; }
 
@@ -47,8 +53,6 @@ class SmtCore {
   /// Current throughput of a context relative to ST mode (0 when inactive).
   [[nodiscard]] double speed(CtxId ctx) const { return speeds_[check_ctx(ctx)]; }
 
-  [[nodiscard]] const ThroughputParams& params() const { return params_; }
-
   void set_listener(SpeedChangeListener l) { listener_ = std::move(l); }
 
  private:
@@ -57,10 +61,7 @@ class SmtCore {
   void notify();
 
   CoreId id_;
-  ThroughputParams params_;
-  /// Share->speed curve, precompiled once; recompute() runs on every
-  /// priority write and activity transition, so the anchor scan matters.
-  SpeedLut lut_;
+  std::shared_ptr<const SpeedTable> table_;
   std::array<HwPrio, 2> prio_{};
   std::array<bool, 2> active_{};
   std::array<bool, 2> snoozed_{};

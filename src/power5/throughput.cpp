@@ -23,41 +23,6 @@ double speed_for_share(const ThroughputParams& p, double share) {
   return ys.back();
 }
 
-namespace {
-/// Grid resolution. 512 cells keeps the walk inside one cell to at most a
-/// couple of anchor comparisons for any plausible curve while the table stays
-/// cache-resident (2 KiB of segment indices).
-constexpr std::size_t kLutCells = 512;
-}  // namespace
-
-SpeedLut::SpeedLut(const ThroughputParams& p) : xs_(p.share_points), ys_(p.speed_points) {
-  HPCS_CHECK_MSG(xs_.size() == ys_.size() && xs_.size() >= 2, "malformed throughput curve");
-  HPCS_CHECK_MSG(std::is_sorted(xs_.begin(), xs_.end()), "share anchors must be sorted");
-  scale_ = static_cast<double>(kLutCells);
-  seg_.resize(kLutCells);
-  std::uint32_t i = 1;
-  for (std::size_t c = 0; c < kLutCells; ++c) {
-    const double cell_left = static_cast<double>(c) / scale_;
-    while (i + 1 < xs_.size() && xs_[i] < cell_left) ++i;
-    seg_[c] = i;
-  }
-}
-
-double SpeedLut::operator()(double share) const {
-  share = std::clamp(share, 0.0, 1.0);
-  if (share <= xs_.front()) return ys_.front();
-  if (share >= xs_.back()) return ys_.back();
-  // Jump straight to the cell's first candidate segment, then advance past
-  // any anchors inside the cell. Comparisons and interpolation match the
-  // linear scan in speed_for_share exactly, so values are bit-identical.
-  auto c = static_cast<std::size_t>(share * scale_);
-  if (c >= seg_.size()) c = seg_.size() - 1;
-  std::size_t i = seg_[c];
-  while (i + 1 < xs_.size() && share > xs_[i]) ++i;
-  const double t = (share - xs_[i - 1]) / (xs_[i] - xs_[i - 1]);
-  return ys_[i - 1] + t * (ys_[i] - ys_[i - 1]);
-}
-
 ThroughputParams power6_params() {
   ThroughputParams p;
   p.share_points = {0.0,  1.0 / 64, 1.0 / 32, 1.0 / 16, 0.125, 0.25,
@@ -83,17 +48,10 @@ double decode_share_a(HwPrio a, HwPrio b) {
   return static_cast<double>(alloc.cycles_a) / static_cast<double>(alloc.window);
 }
 
-namespace {
-
-/// Shared implementation of context_speeds, parameterized on the share->speed
-/// evaluator (the linear scan or a SpeedLut). Must stay a single code path so
-/// both variants make identical decisions.
-template <typename SpeedFn>
-CoreSpeeds context_speeds_impl(const ThroughputParams& p, const SpeedFn& speed, HwPrio a,
-                               bool a_active, HwPrio b, bool b_active, bool a_snoozed,
-                               bool b_snoozed) {
-  const auto pair_speeds = [&speed](double share_a) -> CoreSpeeds {
-    return {speed(share_a), speed(1.0 - share_a)};
+CoreSpeeds context_speeds(const ThroughputParams& p, HwPrio a, bool a_active, HwPrio b,
+                          bool b_active, bool a_snoozed, bool b_snoozed) {
+  const auto pair_speeds = [&p](double share_a) -> CoreSpeeds {
+    return {speed_for_share(p, share_a), speed_for_share(p, 1.0 - share_a)};
   };
 
   const bool a_on = a_active && a != HwPrio::kOff;
@@ -106,14 +64,12 @@ CoreSpeeds context_speeds_impl(const ThroughputParams& p, const SpeedFn& speed, 
     // triggered) and keeps consuming the decode share of
     // `idle_contention_prio`.
     const HwPrio idle = hw_prio_from_int(p.idle_contention_prio);
-    const CoreSpeeds s = context_speeds_impl(p, speed, a, true, idle, true, false, false);
-    return {s.a, 0.0};
+    return {context_speeds(p, a, true, idle, true).a, 0.0};
   }
   if (!a_on && b_on) {
     if (a_snoozed || p.idle_contention_prio < 0) return {0.0, p.st_speed};
     const HwPrio idle = hw_prio_from_int(p.idle_contention_prio);
-    const CoreSpeeds s = context_speeds_impl(p, speed, idle, true, b, true, false, false);
-    return {0.0, s.b};
+    return {0.0, context_speeds(p, idle, true, b, true).b};
   }
 
   // Both active. Handle the special priorities first (paper §II-B):
@@ -132,18 +88,15 @@ CoreSpeeds context_speeds_impl(const ThroughputParams& p, const SpeedFn& speed, 
   return pair_speeds(decode_share_a(a, b));
 }
 
-}  // namespace
-
-CoreSpeeds context_speeds(const ThroughputParams& p, HwPrio a, bool a_active, HwPrio b,
-                          bool b_active, bool a_snoozed, bool b_snoozed) {
-  const auto scan = [&p](double share) { return speed_for_share(p, share); };
-  return context_speeds_impl(p, scan, a, a_active, b, b_active, a_snoozed, b_snoozed);
-}
-
-CoreSpeeds context_speeds(const ThroughputParams& p, const SpeedLut& lut, HwPrio a,
-                          bool a_active, HwPrio b, bool b_active, bool a_snoozed,
-                          bool b_snoozed) {
-  return context_speeds_impl(p, lut, a, a_active, b, b_active, a_snoozed, b_snoozed);
+SpeedTable::SpeedTable(const ThroughputParams& p) {
+  HPCS_CHECK_MSG(std::is_sorted(p.share_points.begin(), p.share_points.end()),
+                 "share anchors must be sorted");
+  // Enumerate the states in index order (the bit layout operator() encodes).
+  for (unsigned i = 0; i < table_.size(); ++i) {
+    table_[i] = context_speeds(p, hw_prio_from_int(static_cast<int>(i >> 7)), (i >> 6 & 1) != 0,
+                               hw_prio_from_int(static_cast<int>(i >> 3 & 7)), (i >> 2 & 1) != 0,
+                               (i >> 1 & 1) != 0, (i & 1) != 0);
+  }
 }
 
 }  // namespace hpcs::p5

@@ -21,7 +21,7 @@
 // complementary pairing reproduces Table V's utilization profile
 // (70.6 / 42.2 / 61.0 / 99.9).
 
-#include <cstdint>
+#include <array>
 #include <vector>
 
 #include "power5/hw_priority.h"
@@ -59,31 +59,6 @@ struct CoreSpeeds {
 /// Interpolated speed for a given decode share.
 [[nodiscard]] double speed_for_share(const ThroughputParams& p, double share);
 
-/// Precomputed uniform-grid accelerator for speed_for_share. The grid maps a
-/// share to the anchor segment containing it in O(1), then applies the exact
-/// same comparisons and interpolation arithmetic as the linear scan — results
-/// are bit-identical, only the segment search is constant-time. Build once
-/// per ThroughputParams (SmtCore does this at construction) and reuse; the
-/// hot path is every hardware-priority write and every active/snooze
-/// transition of every core.
-class SpeedLut {
- public:
-  SpeedLut() = default;
-  explicit SpeedLut(const ThroughputParams& p);
-
-  /// Same value speed_for_share(p, share) would return for the params this
-  /// LUT was built from.
-  [[nodiscard]] double operator()(double share) const;
-
- private:
-  std::vector<double> xs_;
-  std::vector<double> ys_;
-  /// cell index -> first anchor segment whose upper bound can contain a
-  /// share in that cell.
-  std::vector<std::uint32_t> seg_;
-  double scale_ = 0.0;
-};
-
 /// A POWER6-style parameter preset (the paper notes POWER6 "provides a
 /// similar prioritization mechanism"). POWER6 is in-order, so threads hide
 /// less of each other's stalls: the equal-share point is lower (~0.58) and
@@ -104,11 +79,28 @@ class SpeedLut {
                                         HwPrio b, bool b_active, bool a_snoozed = false,
                                         bool b_snoozed = false);
 
-/// LUT-accelerated variant: identical results, with the share->speed
-/// interpolation served from `lut` (which must have been built from `p`).
-[[nodiscard]] CoreSpeeds context_speeds(const ThroughputParams& p, const SpeedLut& lut,
-                                        HwPrio a, bool a_active, HwPrio b, bool b_active,
-                                        bool a_snoozed = false, bool b_snoozed = false);
+/// context_speeds for every state a core can be in: both contexts'
+/// priorities (8 each) and their active and snoozed flags, 1024 entries.
+/// Built once per ThroughputParams from context_speeds itself, so every entry
+/// is bit-for-bit the value the scan returns; a lookup is one indexed load.
+/// SmtCore serves every priority write and activity or snooze transition
+/// from it.
+class SpeedTable {
+ public:
+  explicit SpeedTable(const ThroughputParams& p);
+
+  /// Index bits, high to low: prio_a (3), a_active, prio_b (3), b_active,
+  /// a_snoozed, b_snoozed.
+  [[nodiscard]] const CoreSpeeds& operator()(HwPrio a, bool a_active, HwPrio b, bool b_active,
+                                             bool a_snoozed, bool b_snoozed) const {
+    return table_[(static_cast<unsigned>(a) << 7) | (unsigned{a_active} << 6) |
+                  (static_cast<unsigned>(b) << 3) | (unsigned{b_active} << 2) |
+                  (unsigned{a_snoozed} << 1) | unsigned{b_snoozed}];
+  }
+
+ private:
+  std::array<CoreSpeeds, 1024> table_;
+};
 
 /// Decode share of context A per Table I (0.5 at equal priorities,
 /// (R-1)/R vs 1/R otherwise). Only meaningful for regular priorities.

@@ -220,6 +220,72 @@ TEST(SmtCore, SpeedUpdatesOnPriorityChange) {
   EXPECT_EQ(notifications, 1);
 }
 
+// Drive `core` into every one of the 1024 (prio, active, snoozed) x 2 states
+// and require exactly (==, not NEAR) the speeds the scan-based
+// context_speeds computes for that state.
+void expect_every_state_matches_scan(SmtCore& core, const ThroughputParams& p) {
+  for (int pa = 0; pa <= 7; ++pa) {
+    for (int pb = 0; pb <= 7; ++pb) {
+      for (int flags = 0; flags < 16; ++flags) {
+        const bool a_active = (flags & 8) != 0, b_active = (flags & 4) != 0;
+        const bool a_snoozed = (flags & 2) != 0, b_snoozed = (flags & 1) != 0;
+        core.set_priority(0, hw_prio_from_int(pa));
+        core.set_priority(1, hw_prio_from_int(pb));
+        core.set_active(0, a_active);  // clears the snoozed flag
+        core.set_active(1, b_active);
+        core.set_snoozed(0, a_snoozed);
+        core.set_snoozed(1, b_snoozed);
+        const CoreSpeeds want = context_speeds(p, hw_prio_from_int(pa), a_active,
+                                               hw_prio_from_int(pb), b_active, a_snoozed,
+                                               b_snoozed);
+        ASSERT_EQ(core.speed(0), want.a) << "prio " << pa << "/" << pb << " flags " << flags;
+        ASSERT_EQ(core.speed(1), want.b) << "prio " << pa << "/" << pb << " flags " << flags;
+      }
+    }
+  }
+}
+
+TEST(SmtCore, EveryStateEqualsContextSpeeds) {
+  ThroughputParams true_snooze;
+  true_snooze.idle_contention_prio = -1;
+  const ThroughputParams param_sets[] = {ThroughputParams{}, power6_params(), cell_params(),
+                                         true_snooze};
+  for (const ThroughputParams& p : param_sets) {
+    SmtCore solo(0, p);  // a table of its own
+    expect_every_state_matches_scan(solo, p);
+    Chip chip(2, p);  // one table shared by both cores
+    expect_every_state_matches_scan(chip.core(1), p);
+  }
+}
+
+TEST(SmtCore, NoOpWritesDoNotNotify) {
+  SmtCore core(0, ThroughputParams{});
+  core.set_active(0, true);
+  int notifications = 0;
+  core.set_listener([&](CoreId) { ++notifications; });
+  const double s0 = core.speed(0), s1 = core.speed(1);
+  EXPECT_FALSE(core.set_priority(0, kDefaultPrio));
+  EXPECT_FALSE(core.set_priority(1, kDefaultPrio));
+  EXPECT_FALSE(core.set_active(0, true));
+  EXPECT_FALSE(core.set_active(1, false));
+  EXPECT_FALSE(core.set_snoozed(0, false));
+  EXPECT_FALSE(core.set_snoozed(1, false));
+  EXPECT_EQ(notifications, 0);
+  EXPECT_EQ(core.speed(0), s0);
+  EXPECT_EQ(core.speed(1), s1);
+
+  // Snoozing the idle sibling hands context 0 the whole core; repeating it
+  // is a no-op, and re-deactivating clears the snooze (a change).
+  EXPECT_TRUE(core.set_snoozed(1, true));
+  EXPECT_EQ(core.speed(0), ThroughputParams{}.st_speed);
+  EXPECT_FALSE(core.set_snoozed(1, true));
+  EXPECT_EQ(notifications, 1);
+  EXPECT_TRUE(core.set_active(1, false));
+  EXPECT_FALSE(core.snoozed(1));
+  EXPECT_EQ(core.speed(0), s0);
+  EXPECT_EQ(notifications, 2);
+}
+
 TEST(Chip, TopologyMapping) {
   Chip chip(2);
   EXPECT_EQ(chip.num_cpus(), 4);
