@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "power5/hw_priority.h"
 #include "power5/throughput.h"
@@ -26,9 +27,6 @@ class SmtCore {
   /// A core reading its speeds from `table` (shared with its sibling cores).
   SmtCore(CoreId id, std::shared_ptr<const SpeedTable> table)
       : id_(id), table_(std::move(table)) {
-    prio_.fill(kDefaultPrio);
-    active_.fill(false);
-    snoozed_.fill(false);
     recompute();
   }
   /// A stand-alone core with a table of its own.
@@ -38,13 +36,26 @@ class SmtCore {
   [[nodiscard]] CoreId id() const { return id_; }
 
   /// Set the hardware priority of one context. Returns true if it changed.
-  bool set_priority(CtxId ctx, HwPrio p);
+  bool set_priority(CtxId ctx, HwPrio p) {
+    if (prio_[check_ctx(ctx)] == p) return false;
+    prio_[ctx] = p;
+    return changed();
+  }
   /// Mark a context as executing work (true) or idle/halted (false).
   /// Deactivating also clears the snoozed flag (fresh idle spins first).
-  bool set_active(CtxId ctx, bool active);
+  bool set_active(CtxId ctx, bool active) {
+    if (active_[check_ctx(ctx)] == active && !snoozed_[ctx]) return false;
+    active_[ctx] = active;
+    snoozed_[ctx] = false;  // any activity transition restarts the spin phase
+    return changed();
+  }
   /// Mark an idle context as snoozed: it cedes the core so the sibling runs
   /// in single-thread mode (the Linux smt_snooze_delay expiry).
-  bool set_snoozed(CtxId ctx, bool snoozed);
+  bool set_snoozed(CtxId ctx, bool snoozed) {
+    if (snoozed_[check_ctx(ctx)] == snoozed) return false;
+    snoozed_[ctx] = snoozed;
+    return changed();
+  }
   [[nodiscard]] bool snoozed(CtxId ctx) const { return snoozed_[check_ctx(ctx)]; }
 
   [[nodiscard]] HwPrio priority(CtxId ctx) const { return prio_[check_ctx(ctx)]; }
@@ -56,13 +67,25 @@ class SmtCore {
   void set_listener(SpeedChangeListener l) { listener_ = std::move(l); }
 
  private:
-  static CtxId check_ctx(CtxId ctx);
-  void recompute();
-  void notify();
+  static CtxId check_ctx(CtxId ctx) {
+    HPCS_CHECK_MSG(ctx == 0 || ctx == 1, "context index must be 0 or 1");
+    return ctx;
+  }
+  /// The state changed: look its speeds up and tell the listener.
+  bool changed() {
+    recompute();
+    if (listener_) listener_(id_);
+    return true;
+  }
+  void recompute() {
+    const CoreSpeeds& s =
+        (*table_)(prio_[0], active_[0], prio_[1], active_[1], snoozed_[0], snoozed_[1]);
+    speeds_ = {s.a, s.b};
+  }
 
   CoreId id_;
   std::shared_ptr<const SpeedTable> table_;
-  std::array<HwPrio, 2> prio_{};
+  std::array<HwPrio, 2> prio_{kDefaultPrio, kDefaultPrio};
   std::array<bool, 2> active_{};
   std::array<bool, 2> snoozed_{};
   std::array<double, 2> speeds_{};
