@@ -5,6 +5,7 @@
 // the serial drivers), and the table layout that prints each experiment next
 // to the paper's own numbers.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -214,13 +215,32 @@ inline void write_host_sidecar(const char* name, unsigned jobs,
   write_json_file(std::string("MANIFEST_") + name + ".host.json", root);
 }
 
-/// One-call obs epilogue for a table/ablation driver: manifest + host
-/// sidecar (+ Chrome trace when --obs-trace was given). No-op with obs off.
+/// Tracing data is not dropped in silence: one stderr line for a run whose
+/// per-CPU tracepoint rings wrapped, naming the driver, the run and the
+/// number of entries lost. stderr only, so stdout and the manifest (whose
+/// tp.ring_dropped counter holds the same count) keep their bytes.
+inline void warn_ring_drops(const std::string& name, const std::string& run,
+                            const analysis::RunResult& r, std::size_t ring_capacity) {
+  const std::uint64_t dropped = r.recorder ? r.recorder->total_dropped() : 0;
+  if (dropped == 0) return;
+  std::fprintf(stderr,
+               "warning: %s %s: tracepoint rings dropped %llu entries (capacity %zu per "
+               "CPU); raise --obs-ring to keep them\n",
+               name.c_str(), run.c_str(), static_cast<unsigned long long>(dropped),
+               ring_capacity);
+}
+
+/// One-call obs epilogue for a table/ablation driver: ring-drop warnings,
+/// manifest + host sidecar (+ Chrome trace when --obs-trace was given).
+/// No-op with obs off.
 inline void write_obs_outputs(const char* name, const ObsOptions& o, unsigned jobs,
                               const std::vector<analysis::SchedMode>& modes,
                               const std::vector<analysis::RunResult>& results,
                               const exp::EngineStats* host_stats = nullptr) {
   if (!o.cfg.enabled) return;
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    warn_ring_drops(name, analysis::sched_mode_name(modes[i]), results[i], o.cfg.ring_capacity);
+  }
   write_metrics_manifest(name, modes, results);
   if (host_stats != nullptr) write_host_sidecar(name, jobs, *host_stats);
   if (!o.trace_path.empty()) {

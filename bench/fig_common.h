@@ -33,11 +33,13 @@ class FigObs {
     results_.push_back(std::move(r));
   }
 
-  /// Write MANIFEST_<name>.json (+ the Chrome trace when requested).
+  /// Write MANIFEST_<name>.json (+ the Chrome trace when requested); warn
+  /// about each run whose tracepoint rings dropped entries.
   void finish() {
     if (!opt_.cfg.enabled) return;
     std::vector<obs::ManifestRun> runs;
     for (std::size_t i = 0; i < results_.size(); ++i) {
+      warn_ring_drops(name_, labels_[i], results_[i], opt_.cfg.ring_capacity);
       runs.push_back({labels_[i], results_[i].metrics});
     }
     obs::write_manifest_json("MANIFEST_" + name_ + ".json", name_, runs);
