@@ -8,8 +8,11 @@
 
 namespace hpcs {
 
-/// Seeded pseudo-random source (xoshiro-quality via std::mt19937_64) with the
-/// handful of distributions the simulator needs.
+/// Seeded pseudo-random source: std::mt19937_64, whose output sequence the
+/// standard fixes, and the standard library's distributions, whose
+/// algorithms it does not ([rand.dist.general]). A seed therefore reproduces
+/// the same draws only under the same standard library; the checked-in
+/// outputs come from libstdc++ (DESIGN.md §5).
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
