@@ -37,25 +37,24 @@ void HpcSchedClass::enqueue(kern::Kernel& k, kern::Rq& rq, kern::Task& t, bool w
   // Wakeup = beginning of a new iteration: account the waiting phase, close
   // iteration i and (unless the application is balanced) apply the priority
   // the heuristic picks for iteration i+1 (paper §IV-B).
-  const auto sample = tracker_.on_wakeup(t.pid(), k.now());
-  if (sample.has_value()) on_iteration_complete(k, t, *sample);
+  TaskIterStats& s = tracker_.track(t.pid());
+  const auto sample = tracker_.on_wakeup(s, k.now());
+  if (sample.has_value()) on_iteration_complete(k, t, s, *sample);
 }
 
-void HpcSchedClass::on_iteration_complete(kern::Kernel& k, kern::Task& t,
+void HpcSchedClass::on_iteration_complete(kern::Kernel& k, kern::Task& t, TaskIterStats& s,
                                           const IterationSample& sample) {
   ++iterations_;
   HPCS_TRACEPOINT(k.obs(), obs::TpId::kTpHpcIteration, k.now(), t.cpu, t.pid(),
                   sample.iteration);
-  TaskIterStats* s = tracker_.stats_mutable(t.pid());
-  HPCS_CHECK(s != nullptr);
 
-  if (detector_.behaviour_changed(*s, tun_)) {
-    tracker_.reset_history(t.pid());
+  if (detector_.behaviour_changed(s, tun_)) {
+    tracker_.reset_history(s);
     ++resets_;
     HPCS_TRACEPOINT(k.obs(), obs::TpId::kTpHpcHistoryReset, k.now(), t.cpu, t.pid(), 0);
   }
 
-  const double metric = heuristic_->metric(*s, tun_);
+  const double metric = heuristic_->metric(s, tun_);
   // The detector judges balance from the freshest signal (the iteration that
   // just completed); the heuristic classifies with its own, possibly
   // history-weighted metric.

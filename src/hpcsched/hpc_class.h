@@ -73,7 +73,8 @@ class HpcSchedClass final : public kern::SchedClass {
 
  private:
   static HpcRq& hrq(kern::Rq& rq, int index);
-  void on_iteration_complete(kern::Kernel& k, kern::Task& t, const IterationSample& sample);
+  void on_iteration_complete(kern::Kernel& k, kern::Task& t, TaskIterStats& s,
+                             const IterationSample& sample);
 
   HpcTunables tun_;
   std::unique_ptr<Heuristic> heuristic_;

@@ -1,15 +1,19 @@
 #include "hpcsched/iteration_tracker.h"
 
 namespace hpcs::hpc {
+namespace {
 
-void IterationTracker::on_run_begin(Pid pid, SimTime now) {
-  TaskIterStats& s = stats_[pid];
+void begin_run(TaskIterStats& s, SimTime now) {
   s.run_start = now;
   s.in_run = true;
 }
 
+}  // namespace
+
+void IterationTracker::on_run_begin(Pid pid, SimTime now) { begin_run(track(pid), now); }
+
 bool IterationTracker::on_run_end(Pid pid, SimTime now) {
-  TaskIterStats& s = stats_[pid];
+  TaskIterStats& s = track(pid);
   s.sleep_start = now;
   if (!s.in_run) return false;
   s.in_run = false;
@@ -19,18 +23,17 @@ bool IterationTracker::on_run_end(Pid pid, SimTime now) {
   return true;
 }
 
-std::optional<IterationSample> IterationTracker::on_wakeup(Pid pid, SimTime now) {
-  TaskIterStats& s = stats_[pid];
+std::optional<IterationSample> IterationTracker::on_wakeup(TaskIterStats& s, SimTime now) {
   if (!s.has_history || s.in_run) {
     // First observation of this task: just open the run phase.
-    on_run_begin(pid, now);
+    begin_run(s, now);
     return std::nullopt;
   }
   s.open_wait += now - s.sleep_start;
   if (s.open_run < min_iteration) {
     // No real computing phase yet: this wakeup continues the waiting phase
     // of the open iteration (partial waitall completions, spurious wakes).
-    on_run_begin(pid, now);
+    begin_run(s, now);
     return std::nullopt;
   }
   const Duration run = s.open_run;
@@ -61,12 +64,11 @@ std::optional<IterationSample> IterationTracker::on_wakeup(Pid pid, SimTime now)
   s.util_ema += ema_alpha * d;
   s.util_emvar = (1.0 - ema_alpha) * (s.util_emvar + ema_alpha * d * d);
 
-  on_run_begin(pid, now);
+  begin_run(s, now);
   return sample;
 }
 
-void IterationTracker::reset_history(Pid pid) {
-  TaskIterStats& s = stats_[pid];
+void IterationTracker::reset_history(TaskIterStats& s) {
   s.run_sum = Duration::zero();
   s.wait_sum = Duration::zero();
   s.iterations = 0;
@@ -78,11 +80,6 @@ void IterationTracker::reset_history(Pid pid) {
 }
 
 const TaskIterStats* IterationTracker::stats(Pid pid) const {
-  const auto it = stats_.find(pid);
-  return it == stats_.end() ? nullptr : &it->second;
-}
-
-TaskIterStats* IterationTracker::stats_mutable(Pid pid) {
   const auto it = stats_.find(pid);
   return it == stats_.end() ? nullptr : &it->second;
 }

@@ -63,13 +63,22 @@ class IterationTracker {
   /// The task woke at `now`, completing an iteration (run + wait). Returns
   /// the sample, or nullopt when there was no complete iteration yet.
   /// Automatically begins the next run phase.
-  std::optional<IterationSample> on_wakeup(Pid pid, SimTime now);
+  std::optional<IterationSample> on_wakeup(Pid pid, SimTime now) {
+    return on_wakeup(track(pid), now);
+  }
+  /// Same, on stats obtained from track(): the wakeup path looks a task up
+  /// once and hands the entry to every step.
+  std::optional<IterationSample> on_wakeup(TaskIterStats& s, SimTime now);
 
   /// Restart the utilization history of a task (behaviour change detected).
-  void reset_history(Pid pid);
+  void reset_history(Pid pid) { reset_history(track(pid)); }
+  void reset_history(TaskIterStats& s);
+
+  /// The task's stats, created on first use. References stay valid until
+  /// forget(pid).
+  [[nodiscard]] TaskIterStats& track(Pid pid) { return stats_[pid]; }
 
   [[nodiscard]] const TaskIterStats* stats(Pid pid) const;
-  [[nodiscard]] TaskIterStats* stats_mutable(Pid pid);
   [[nodiscard]] const std::map<Pid, TaskIterStats>& all() const { return stats_; }
   void forget(Pid pid) { stats_.erase(pid); }
 

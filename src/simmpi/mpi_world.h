@@ -4,7 +4,6 @@
 // eager point-to-point messages with a latency/bandwidth network model, and
 // isend/irecv/waitall request tracking.
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -101,7 +100,7 @@ class MpiWorld {
   struct RankState {
     kern::Task* task = nullptr;
     std::unique_ptr<RankProgram> program;
-    std::deque<Message> mailbox;
+    std::vector<Message> mailbox;  ///< arrival order; a few entries at most
     std::vector<std::pair<int, int>> pending_irecvs;  ///< (src, tag) posted, unmatched
     int pending_isends = 0;    ///< isends whose delivery has not completed yet
     int pending_rv_sends = 0;  ///< rendezvous sends not yet consumed by the peer

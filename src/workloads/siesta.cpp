@@ -1,5 +1,6 @@
 #include "workloads/siesta.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -8,24 +9,32 @@
 namespace hpcs::wl {
 namespace {
 
-/// Lognormal with the requested mean: mu = ln(mean) - sigma^2/2.
-double lognormal_burst(Rng& rng, double mean, double sigma) {
-  const double mu = std::log(mean) - sigma * sigma / 2.0;
-  return std::max(1.0, rng.lognormal(mu, sigma));
-}
+/// Lognormal burst sizes with a given mean: mu = ln(mean) - sigma^2/2, taken
+/// once per rank rather than on every draw.
+class LognormalBurst {
+ public:
+  LognormalBurst(double mean, double sigma)
+      : mu_(std::log(mean) - sigma * sigma / 2.0), sigma_(sigma) {}
+
+  double draw(Rng& rng) const { return std::max(1.0, rng.lognormal(mu_, sigma_)); }
+
+ private:
+  double mu_;
+  double sigma_;
+};
 
 /// Rank 0: compute burst -> send work to every worker -> gather replies.
 class SiestaDriver final : public mpi::RankProgram {
  public:
-  SiestaDriver(const SiestaConfig& cfg, Rng rng) : cfg_(cfg), rng_(std::move(rng)) {}
+  SiestaDriver(const SiestaConfig& cfg, Rng rng)
+      : cfg_(cfg), burst_(cfg.cycle_work * cfg.fractions[0], cfg.sigma), rng_(std::move(rng)) {}
 
   mpi::MpiOp next() override {
     if (iter_ >= cfg_.microiters) return mpi::OpExit{};
     const int workers = cfg_.ranks - 1;
     if (phase_ == 0) {
       ++phase_;
-      return mpi::OpCompute{lognormal_burst(rng_, cfg_.cycle_work * cfg_.fractions[0],
-                                            cfg_.sigma)};
+      return mpi::OpCompute{burst_.draw(rng_)};
     }
     if (phase_ <= workers) {  // scatter
       const int dst = phase_;
@@ -45,6 +54,7 @@ class SiestaDriver final : public mpi::RankProgram {
 
  private:
   SiestaConfig cfg_;
+  LognormalBurst burst_;
   Rng rng_;
   int iter_ = 0;
   int phase_ = 0;
@@ -54,7 +64,9 @@ class SiestaDriver final : public mpi::RankProgram {
 class SiestaWorker final : public mpi::RankProgram {
  public:
   SiestaWorker(const SiestaConfig& cfg, int rank, Rng rng)
-      : cfg_(cfg), rank_(rank), rng_(std::move(rng)) {}
+      : cfg_(cfg),
+        burst_(cfg.cycle_work * cfg.fractions[static_cast<std::size_t>(rank)], cfg.sigma),
+        rng_(std::move(rng)) {}
 
   mpi::MpiOp next() override {
     if (iter_ >= cfg_.microiters) return mpi::OpExit{};
@@ -64,9 +76,7 @@ class SiestaWorker final : public mpi::RankProgram {
         return mpi::OpRecv{0, 0};
       case 1:
         phase_ = 2;
-        return mpi::OpCompute{lognormal_burst(
-            rng_, cfg_.cycle_work * cfg_.fractions[static_cast<std::size_t>(rank_)],
-            cfg_.sigma)};
+        return mpi::OpCompute{burst_.draw(rng_)};
       case 2:
         ++iter_;
         phase_ = (cfg_.mark_every > 0 && iter_ % cfg_.mark_every == 0) ? 3 : 0;
@@ -79,7 +89,7 @@ class SiestaWorker final : public mpi::RankProgram {
 
  private:
   SiestaConfig cfg_;
-  int rank_;
+  LognormalBurst burst_;
   Rng rng_;
   int iter_ = 0;
   int phase_ = 0;
