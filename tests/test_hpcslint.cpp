@@ -110,6 +110,29 @@ int randomize_count = 0;     // 'randomize_count' is its own identifier
   EXPECT_TRUE(fs.empty());
 }
 
+TEST(HpcslintRand, FiresOnLibraryEnginesAndDistributionsOutsideRngHeader) {
+  const auto fs = lint_source("src/workloads/fx.cpp", R"fx(
+std::mt19937_64 engine(cfg.seed);
+std::minstd_rand lcg(7);
+double x = std::uniform_real_distribution<double>(0.0, 1.0)(engine);
+double y = std::lognormal_distribution<double>(mu, sigma)(engine);
+double burst_distribution = 1.0;  // a project name, not a std template
+double z = cfg.normal_distribution;  // member access
+)fx");
+  EXPECT_EQ(count_rule(fs, "rand"), 4);
+}
+
+TEST(HpcslintRand, QuietOnLibraryRandomInsideRngHeader) {
+  const auto fs = lint_source("src/common/rng.h", R"fx(
+#include <random>
+class Rng {
+  std::mt19937_64 engine_;
+  double u() { return std::uniform_real_distribution<double>(0.0, 1.0)(engine_); }
+};
+)fx");
+  EXPECT_TRUE(fs.empty());
+}
+
 TEST(HpcslintRand, AllowSuppresses) {
   const auto fs = lint_source("fx.cpp", R"fx(
 std::random_device rd;  // HPCSLINT-ALLOW(rand) entropy for the CLI demo only

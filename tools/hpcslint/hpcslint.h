@@ -21,7 +21,9 @@
 //
 //  token rules (v1, unchanged behaviour):
 //   wallclock        std::chrono::{system,steady,high_resolution}_clock
-//   rand             rand/srand/rand_r/drand48, std::random_device, time(...)
+//   rand             rand/srand/rand_r/drand48, std::random_device, time(...);
+//                    <random> engines and std::*_distribution outside
+//                    src/common/rng.h
 //   hot-alloc        new / make_unique / make_shared / malloc / std::function
 //                    inside // HPCS_HOT_BEGIN .. // HPCS_HOT_END regions
 //   missing-override SchedClass hook declared without `override`

@@ -27,6 +27,8 @@ class Sink {
     out_.push_back(Finding{file_, line, rule, std::move(message)});
   }
 
+  [[nodiscard]] const std::string& file() const { return file_; }
+
   [[nodiscard]] bool hot(int line) const {
     const auto l = static_cast<std::size_t>(line);
     return l < prep_.hot.size() && prep_.hot[l] != 0;

@@ -29,16 +29,43 @@ void rule_wallclock(const std::vector<Tok>& toks, Sink& sink) {
 // rand: ambient (non-seeded) randomness. Every stochastic draw must come
 // from an hpcs::Rng seeded by the experiment config, or sweeps stop
 // reproducing. `time` only fires when called (`time(`) and not as a member
-// (`x.time(...)`).
+// (`x.time(...)`). The <random> engines and std::*_distribution templates
+// are seeded, but the standard leaves the distributions' algorithms to the
+// library, so a draw through them differs between libstdc++, libc++ and
+// MSVC; only src/common/rng.h, which writes its algorithms out, may name
+// them.
 void rule_rand(std::string_view code, const std::vector<Tok>& toks, Sink& sink) {
   static const std::unordered_set<std::string_view> kBanned = {
       "rand", "srand", "rand_r", "drand48", "lrand48", "random_device"};
+  static const std::unordered_set<std::string_view> kLibraryRandom = {
+      "mt19937", "mt19937_64", "minstd_rand", "minstd_rand0", "ranlux24", "ranlux48",
+      "ranlux24_base", "ranlux48_base", "knuth_b", "default_random_engine",
+      "mersenne_twister_engine", "linear_congruential_engine", "subtract_with_carry_engine",
+      "discard_block_engine", "independent_bits_engine", "shuffle_order_engine",
+      "generate_canonical", "uniform_int_distribution", "uniform_real_distribution",
+      "bernoulli_distribution", "binomial_distribution", "geometric_distribution",
+      "negative_binomial_distribution", "poisson_distribution", "exponential_distribution",
+      "gamma_distribution", "weibull_distribution", "extreme_value_distribution",
+      "normal_distribution", "lognormal_distribution", "chi_squared_distribution",
+      "cauchy_distribution", "fisher_f_distribution", "student_t_distribution",
+      "discrete_distribution", "piecewise_constant_distribution",
+      "piecewise_linear_distribution"};
+  const std::string& file = sink.file();
+  const bool rng_home = file == "src/common/rng.h" || file.ends_with("/src/common/rng.h");
   for (const Tok& t : toks) {
     if (!t.ident()) continue;
     if (kBanned.count(t.text) != 0) {
       sink.report("rand", t.line,
                   "ambient randomness (" + std::string(t.text) +
                       "): draw from a config-seeded hpcs::Rng instead");
+      continue;
+    }
+    if (!rng_home && kLibraryRandom.count(t.text) != 0 &&
+        !preceded_by_member_access(code, t.begin)) {
+      sink.report("rand", t.line,
+                  "library random engine or distribution (" + std::string(t.text) +
+                      "): its output depends on the standard library; draw from "
+                      "hpcs::Rng (src/common/rng.h) instead");
       continue;
     }
     if (t.text == "time" && !preceded_by_member_access(code, t.begin)) {
