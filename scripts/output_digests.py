@@ -20,8 +20,15 @@ it, or that exits non-zero. A change meant to alter outputs regenerates the
 golden with --update and says why; every other change must leave it as is,
 which makes the golden a tier-1 proof of byte identity.
 
-Exit status: 0 all digests match (or --update wrote the golden), 1 any
-driver moved, failed, appeared or disappeared, 2 usage error.
+The checked-in figure data (bench_data/ at the repository root, or
+--tree-data) must equal what export_figdata just wrote, file for file,
+except for TREE_DATA_OMITTED: files too large to check in, which
+`export_figdata` writes into ./bench_data/ of the directory it runs in.
+--update rewrites the checked-in figure data along with the golden.
+
+Exit status: 0 all digests and figure data match (or --update wrote them),
+1 any driver moved, failed, appeared or disappeared, or the figure data is
+stale, 2 usage error.
 """
 
 import argparse
@@ -38,6 +45,14 @@ JOBS = 4
 SCHEMA = "hpcs-output-digests-v1"
 DRIVER_RE = re.compile(r"^(table.*|fig.*|ablation_.*|export_figdata|ext_cluster_gang)$")
 JOBS_LINE_RE = re.compile(rb'^  "jobs": .*\n', re.MULTILINE)
+FIGDATA_DRIVER = "export_figdata"
+# Figure 6(b)'s trace, intervals and iterations (about 6 MB): the only
+# export_figdata outputs not checked in.
+TREE_DATA_OMITTED = frozenset({
+    "fig6b_siesta_uniform.prv",
+    "fig6b_siesta_uniform_intervals.csv",
+    "fig6b_siesta_uniform_iterations.csv",
+})
 
 
 def drivers_in(bench_dir):
@@ -77,13 +92,54 @@ def digest_run(driver_path, name, work):
     return h.hexdigest(), None
 
 
+def data_files(root):
+    """Relative path -> bytes of every file under `root` (empty if absent)."""
+    out = {}
+    for base, _, files in os.walk(root):
+        for fname in files:
+            path = os.path.join(base, fname)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
+    return out
+
+
+def check_tree_data(fresh_dir, tree_dir, update):
+    """Compare (or, with `update`, overwrite) the checked-in figure data with
+    export_figdata's fresh output; returns the problems found."""
+    fresh = {k: v for k, v in data_files(fresh_dir).items() if k not in TREE_DATA_OMITTED}
+    tree = {k: v for k, v in data_files(tree_dir).items() if k not in TREE_DATA_OMITTED}
+    if update:
+        for name in tree.keys() - fresh.keys():
+            os.remove(os.path.join(tree_dir, name))
+        for name, data in fresh.items():
+            path = os.path.join(tree_dir, name)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as f:
+                f.write(data)
+        return []
+    problems = []
+    for name in sorted(fresh.keys() | tree.keys()):
+        if name not in tree:
+            problems.append(f"MISSING bench_data/{name}: {FIGDATA_DRIVER} writes it, "
+                            "the tree lacks it")
+        elif name not in fresh:
+            problems.append(f"EXTRA bench_data/{name}: in the tree, {FIGDATA_DRIVER} "
+                            "no longer writes it")
+        elif tree[name] != fresh[name]:
+            problems.append(f"STALE bench_data/{name}: differs from {FIGDATA_DRIVER}'s output")
+    return problems
+
+
 def main():
     here = os.path.dirname(os.path.abspath(__file__))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--bench-dir", required=True, help="directory of the built drivers")
     ap.add_argument("--golden", default=os.path.join(here, "output_digests.json"))
+    ap.add_argument("--tree-data", default=os.path.join(os.path.dirname(here), "bench_data"),
+                    help="checked-in figure data to compare with export_figdata's output")
     ap.add_argument("--work-dir", help="scratch directory (default: a temporary one)")
-    ap.add_argument("--update", action="store_true", help="rewrite the golden")
+    ap.add_argument("--update", action="store_true",
+                    help="rewrite the golden and the checked-in figure data")
     args = ap.parse_args()
 
     names = drivers_in(args.bench_dir)
@@ -94,7 +150,7 @@ def main():
     shutil.rmtree(work_root, ignore_errors=True)
     os.makedirs(work_root)
 
-    digests, failed = {}, []
+    digests, failed, data_problems = {}, [], []
     for name in names:
         work = os.path.join(work_root, name)
         os.makedirs(work)
@@ -104,6 +160,9 @@ def main():
             failed.append(f"FAILED {name}: {error}")
         else:
             digests[name] = digest
+            if name == FIGDATA_DRIVER:
+                data_problems = check_tree_data(os.path.join(work, "bench_data"),
+                                                args.tree_data, args.update)
     if args.work_dir is None:
         shutil.rmtree(work_root, ignore_errors=True)
 
@@ -115,7 +174,9 @@ def main():
             json.dump({"schema": SCHEMA, "jobs": JOBS, "drivers": digests}, f, indent=2,
                       sort_keys=True)
             f.write("\n")
-        print(f"wrote {len(digests)} driver digests to {args.golden}")
+        print(f"wrote {len(digests)} driver digests to {args.golden}"
+              + (f" and {FIGDATA_DRIVER}'s figure data to {args.tree_data}"
+                 if FIGDATA_DRIVER in digests else ""))
         return 0
 
     try:
@@ -138,8 +199,14 @@ def main():
         print(f"{len(problems)} of {len(set(want) | set(digests))} drivers differ from "
               f"{os.path.basename(args.golden)}; if the change is meant to alter outputs, "
               "regenerate it with --update and say why")
+    if data_problems:
+        print("\n".join(data_problems))
+        print(f"{len(data_problems)} checked-in figure data files differ from "
+              f"{FIGDATA_DRIVER}'s output; regenerate them with --update")
+    if problems or data_problems:
         return 1
-    print(f"output digests: all {len(digests)} drivers match")
+    print(f"output digests: all {len(digests)} drivers match, and so does the checked-in "
+          "figure data")
     return 0
 
 

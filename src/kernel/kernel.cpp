@@ -310,7 +310,29 @@ Task* Kernel::pick_next(Rq& r) {
   return r.idle;
 }
 
-void Kernel::schedule_cpu(CpuId cpu) {
+// A task dispatched with no work left stands at an interaction point (a
+// wakeup resumes it there), so its body steps at the dispatch instant rather
+// than from a zero-delay exec event. A step that blocks, sleeps or exits the
+// task needs the next pick, which the loop makes: a run of such tasks on one
+// CPU costs no events and no recursion. After a yield the next dispatch
+// steps through the exec event instead, so tasks that yield to each other
+// let the instant's other events run in between.
+void Kernel::schedule_cpu(CpuId cpu, bool step_at_dispatch) {
+  for (;;) {
+    Task* next = dispatch(cpu);
+    if (next == cs(cpu).rq.idle) return;
+    begin_segment(cpu);
+    if (next->remaining > 0.0 || !step_at_dispatch) {
+      arm_exec_event(cpu);
+      return;
+    }
+    const Task::Req req = step_body(cpu, *next);
+    if (req == Task::Req::kCompute) return;
+    step_at_dispatch = req != Task::Req::kYield;
+  }
+}
+
+Task* Kernel::dispatch(CpuId cpu) {
   CpuState& c = cs(cpu);
   Rq& r = c.rq;
   accrue_exec(cpu);
@@ -371,7 +393,7 @@ void Kernel::schedule_cpu(CpuId cpu) {
     chip_.set_cpu_active(cpu, false);
     arm_snooze(cpu);
   }
-  start_exec(cpu);
+  return next;
 }
 
 // ---------------------------------------------------------------------------
@@ -406,14 +428,11 @@ void Kernel::stop_exec(CpuId cpu) {
   sim_->cancel(c.exec_event);
 }
 
-void Kernel::start_exec(CpuId cpu) {
+void Kernel::begin_segment(CpuId cpu) {
   CpuState& c = cs(cpu);
-  Task* t = c.rq.curr;
-  if (t == nullptr || t == c.rq.idle) return;
   c.exec_active = true;
   c.seg_start = now();
   c.seg_speed = chip_.cpu_speed(cpu);
-  arm_exec_event(cpu);
 }
 
 void Kernel::arm_exec_event(CpuId cpu) {
@@ -449,44 +468,47 @@ void Kernel::on_exec_event(CpuId cpu) {
   }
   t->remaining = 0.0;
 
-  HPCS_CHECK_MSG(t->body_ != nullptr, "task reached an interaction point without a body");
-  t->req_ = Task::Req::kNone;
-  t->body_->step(*this, *t);
+  const Task::Req req = step_body(cpu, *t);
+  if (req != Task::Req::kCompute) schedule_cpu(cpu, req != Task::Req::kYield);
+}
 
-  switch (t->req_) {
+Task::Req Kernel::step_body(CpuId cpu, Task& t) {
+  HPCS_CHECK_MSG(t.body_ != nullptr, "task reached an interaction point without a body");
+  t.req_ = Task::Req::kNone;
+  t.body_->step(*this, t);
+
+  switch (t.req_) {
     case Task::Req::kCompute:
-      t->remaining = t->req_work_;
+      t.remaining = t.req_work_;
       arm_exec_event(cpu);
       break;
     case Task::Req::kBlock:
     case Task::Req::kSleep: {
-      set_acc_state(*t, AccState::kSleep);
-      t->state_ = TaskState::kSleeping;
-      if (trace_ != nullptr) trace_->on_state(now(), *t, TaskState::kSleeping);
-      dequeue_task(*t, true);
-      if (t->req_ == Task::Req::kSleep) {
-        Task* tp = t;
-        sim_->schedule_in(t->req_sleep_, [this, tp] { wake(*tp); });
+      set_acc_state(t, AccState::kSleep);
+      t.state_ = TaskState::kSleeping;
+      if (trace_ != nullptr) trace_->on_state(now(), t, TaskState::kSleeping);
+      dequeue_task(t, true);
+      if (t.req_ == Task::Req::kSleep) {
+        Task* tp = &t;
+        sim_->schedule_in(t.req_sleep_, [this, tp] { wake(*tp); });
       }
-      schedule_cpu(cpu);
       break;
     }
     case Task::Req::kYield:
-      classes_[static_cast<std::size_t>(t->class_idx_)]->yield(*this, c.rq, *t);
-      schedule_cpu(cpu);
+      classes_[static_cast<std::size_t>(t.class_idx_)]->yield(*this, cs(cpu).rq, t);
       break;
     case Task::Req::kExit:
-      flush_account(*t);
-      t->state_ = TaskState::kExited;
-      t->exit_time = now();
-      if (trace_ != nullptr) trace_->on_state(now(), *t, TaskState::kExited);
-      dequeue_task(*t, true);
-      schedule_cpu(cpu);
+      flush_account(t);
+      t.state_ = TaskState::kExited;
+      t.exit_time = now();
+      if (trace_ != nullptr) trace_->on_state(now(), t, TaskState::kExited);
+      dequeue_task(t, true);
       break;
     case Task::Req::kNone:
       HPCS_CHECK_MSG(false, "TaskBody::step() must request exactly one action");
       break;
   }
+  return t.req_;
 }
 
 void Kernel::on_speed_change(CoreId core) {
@@ -494,8 +516,12 @@ void Kernel::on_speed_change(CoreId core) {
     const CpuId cpu = p5::Chip::cpu_of(core, ctx);
     CpuState& c = cs(cpu);
     if (!c.exec_active) continue;
+    // Not every change of the core's state moves this context's speed; when
+    // it did not, the segment and its completion event stand.
+    const double speed = chip_.cpu_speed(cpu);
+    if (speed == c.seg_speed) continue;
     accrue_exec(cpu);  // integrate at the old speed up to now
-    c.seg_speed = chip_.cpu_speed(cpu);
+    c.seg_speed = speed;
     arm_exec_event(cpu);
   }
 }

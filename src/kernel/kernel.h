@@ -181,16 +181,23 @@ class Kernel {
   void dequeue_task(Task& t, bool sleep);
   void maybe_preempt(CpuId cpu, Task& woken);
   Task* pick_next(Rq& rq);
-  void schedule_cpu(CpuId cpu);
+  /// Pick and dispatch the CPU's next task; run bodies that are due (see
+  /// kernel.cpp) until one computes or the CPU goes idle.
+  void schedule_cpu(CpuId cpu, bool step_at_dispatch = true);
+  /// One pick: switch the CPU to its next task and return it (maybe idle).
+  Task* dispatch(CpuId cpu);
   void set_acc_state(Task& t, AccState s);
 
   // Execution engine.
   void arm_snooze(CpuId cpu);
   void accrue_exec(CpuId cpu);
   void stop_exec(CpuId cpu);
-  void start_exec(CpuId cpu);
+  void begin_segment(CpuId cpu);
   void arm_exec_event(CpuId cpu);
   void on_exec_event(CpuId cpu);
+  /// Step the running task's body at an interaction point and carry out
+  /// its request. Every request but kCompute leaves the CPU to re-pick.
+  Task::Req step_body(CpuId cpu, Task& t);
   void on_speed_change(CoreId core);
 
   // Wakeups.

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "analysis/paper_experiments.h"
 #include "hpcsched/hpcsched.h"
 #include "test_util.h"
@@ -148,6 +151,40 @@ TEST(KernelEdge, RequestSamePriorityIsFreeNoop) {
 // Future-work goal (paper §VI): one heuristic good on constant AND dynamic
 // applications. Hybrid must be within striking distance of the specialist
 // on each side.
+// A woken task resumes at its interaction point, so its body steps when it
+// is dispatched. A long run of such tasks on one CPU must go through the
+// dispatch loop without one zero-delay exec event per task and without
+// recursing once per task.
+TEST(KernelEdge, ManyWokenTasksThatBlockAtOnceStepWithoutEvents) {
+  kern::KernelConfig cfg;
+  cfg.cfs.wakeup_cost = Duration::zero();  // wake all of them at instant 0
+  KernelFixture f(cfg);
+  f.k().start();
+  constexpr int kTasks = 50000;
+  std::vector<kern::Task*> tasks;
+  tasks.reserve(kTasks);
+  for (int i = 0; i < kTasks; ++i) {
+    auto& t = f.k().create_task("b" + std::to_string(i),
+                                std::make_unique<ScriptBody>(std::vector<Act>{Act::block()}),
+                                Policy::kNormal, 0);
+    f.k().sched_setaffinity(t, 0);
+    tasks.push_back(&t);
+  }
+  const std::int64_t scheduled_before = f.sim.queue_stats().scheduled;
+  for (kern::Task* t : tasks) f.k().start_task(*t);
+  f.run_until(Duration::microseconds(1));
+  // One resched event ran every body; no exec event was ever armed.
+  EXPECT_EQ(f.sim.queue_stats().scheduled - scheduled_before, 1);
+  EXPECT_EQ(f.sim.queue_stats().dispatched, 1);
+  for (const kern::Task* t : tasks) {
+    ASSERT_EQ(t->state(), kern::TaskState::kSleeping);
+    EXPECT_EQ(t->nr_switches, 1);
+  }
+  EXPECT_EQ(f.k().context_switches(), kTasks + 1);  // every task, then idle
+  EXPECT_EQ(f.k().rq(0).curr, f.k().rq(0).idle);
+  EXPECT_EQ(f.k().check_rq_invariants(), "");
+}
+
 TEST(HybridHeuristic, HandlesBothRegimes) {
   auto mb = analysis::MetBenchExperiment::paper();
   mb.workload.iterations = 12;

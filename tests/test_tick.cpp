@@ -2,7 +2,8 @@
 // ticks every CPU in index order; a resched a tick raises runs after every
 // CPU's tick work; balance passes keep their per-CPU phase; an event armed
 // for a tick instant sorts before or after that tick by when it was armed;
-// an idle kernel dispatches one event per tick.
+// an idle kernel dispatches one event per tick; a woken task's body steps at
+// its dispatch instant, ahead of events armed after its wakeup.
 
 #include <gtest/gtest.h>
 
@@ -227,6 +228,35 @@ TEST(Tick, IdleKernelDispatchesOneEventPerMillisecond) {
   EXPECT_EQ(f.sim.queue_stats().dispatched, 100);
   EXPECT_EQ(f.sim.events_executed(), 100u);
   EXPECT_EQ(f.sim.pending_events(), 1u);
+}
+
+TEST(Tick, BodyStepsAtItsDispatchInstant) {
+  kern::KernelConfig cfg;
+  cfg.cfs.wakeup_cost = Duration::zero();  // the wakeup arms the resched itself
+  KernelFixture f(cfg);
+  f.k().start();
+  std::vector<Entry> log;
+  auto mark = [&](const char* name) { log.push_back({f.sim.now(), name, kInvalidCpu}); };
+  std::vector<Act> acts = {Act::block(), Act::compute(1.0e9), Act::block()};
+  for (Act& a : acts) a.on_issue = [&] { mark("step"); };
+  auto& t = f.k().create_task("t", std::make_unique<ScriptBody>(std::move(acts)),
+                              Policy::kNormal, 0);
+  f.k().start_task(t);
+  const SimTime at = SimTime::zero() + Duration::microseconds(500);
+  f.sim.schedule_at(at, [&] {
+    f.k().wake(t);  // arms CPU 0's resched at this instant
+    f.sim.schedule_in(Duration::zero(), [&] { mark("armed_after_wake"); });
+  });
+  f.run_until(Duration::microseconds(700));
+  // The resched dispatches the task and runs its body in the same event, so
+  // the step lands before the event armed after the wakeup. The step used
+  // to wait for a zero-delay exec event armed at dispatch, which sorted
+  // after it.
+  const std::vector<Entry> want = {{SimTime::zero(), "step", kInvalidCpu},
+                                   {at, "step", kInvalidCpu},
+                                   {at, "armed_after_wake", kInvalidCpu}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(t.last_dispatch, at);
 }
 
 }  // namespace
