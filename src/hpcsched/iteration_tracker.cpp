@@ -3,14 +3,13 @@
 namespace hpcs::hpc {
 namespace {
 
+/// The task started (or resumed) a computing phase at `now`.
 void begin_run(TaskIterStats& s, SimTime now) {
   s.run_start = now;
   s.in_run = true;
 }
 
 }  // namespace
-
-void IterationTracker::on_run_begin(Pid pid, SimTime now) { begin_run(track(pid), now); }
 
 bool IterationTracker::on_run_end(Pid pid, SimTime now) {
   TaskIterStats& s = track(pid);

@@ -53,9 +53,6 @@ struct IterationSample {
 /// Tracks iteration phases for every SCHED_HPC task.
 class IterationTracker {
  public:
-  /// The task started (or resumed) a computing phase at `now`.
-  void on_run_begin(Pid pid, SimTime now);
-
   /// The task blocked at `now`, ending its computing phase. Returns false if
   /// no run phase was in progress (e.g. first observation).
   bool on_run_end(Pid pid, SimTime now);
