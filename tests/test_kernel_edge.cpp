@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -161,11 +163,21 @@ TEST(KernelEdge, ManyWokenTasksThatBlockAtOnceStepWithoutEvents) {
   KernelFixture f(cfg);
   f.k().start();
   constexpr int kTasks = 50000;
+  // Stack depth at each step: a loop steps every body from the same frame.
+  std::uintptr_t lowest = UINTPTR_MAX;
+  std::uintptr_t highest = 0;
+  Act block = Act::block();
+  block.on_issue = [&] {
+    volatile int marker = 0;
+    const auto at = reinterpret_cast<std::uintptr_t>(&marker);
+    lowest = std::min(lowest, at);
+    highest = std::max(highest, at);
+  };
   std::vector<kern::Task*> tasks;
   tasks.reserve(kTasks);
   for (int i = 0; i < kTasks; ++i) {
     auto& t = f.k().create_task("b" + std::to_string(i),
-                                std::make_unique<ScriptBody>(std::vector<Act>{Act::block()}),
+                                std::make_unique<ScriptBody>(std::vector<Act>{block}),
                                 Policy::kNormal, 0);
     f.k().sched_setaffinity(t, 0);
     tasks.push_back(&t);
@@ -183,6 +195,7 @@ TEST(KernelEdge, ManyWokenTasksThatBlockAtOnceStepWithoutEvents) {
   EXPECT_EQ(f.k().context_switches(), kTasks + 1);  // every task, then idle
   EXPECT_EQ(f.k().rq(0).curr, f.k().rq(0).idle);
   EXPECT_EQ(f.k().check_rq_invariants(), "");
+  EXPECT_LT(highest - lowest, 4096u) << "the stack grew from one body step to the next";
 }
 
 TEST(HybridHeuristic, HandlesBothRegimes) {
