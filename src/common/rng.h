@@ -5,12 +5,13 @@
 //
 // Every algorithm is written out here rather than taken from <random>: the
 // standard fixes the engines' output, but not the algorithms of its
-// distributions ([rand.dist.general]), so the same seed gave different draws
-// under libstdc++, libc++ and MSVC. The integer stream, uniform() and
-// uniform_int() are now the same on every platform. normal(), lognormal()
-// and exponential() still pass through libm's log, exp and sqrt, which
-// libraries do not promise to round alike (DESIGN.md §5). hpcslint's `rand`
-// rule keeps <random> engines and distributions out of the rest of the tree.
+// distributions ([rand.dist.general]), so draws through them differ between
+// libstdc++, libc++ and MSVC for the same seed. Here the integer stream,
+// uniform() and uniform_int() are the same on every platform; normal(),
+// lognormal() and exponential() still pass through libm's log, exp and
+// sqrt, which libraries do not promise to round alike (DESIGN.md §5).
+// hpcslint's `rand` rule keeps <random> engines and distributions out of
+// the rest of the tree.
 
 #include <cmath>
 #include <cstdint>

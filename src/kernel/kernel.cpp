@@ -311,12 +311,12 @@ Task* Kernel::pick_next(Rq& r) {
 }
 
 // A task dispatched with no work left stands at an interaction point (a
-// wakeup resumes it there), so its body steps at the dispatch instant rather
-// than from a zero-delay exec event. A step that blocks, sleeps or exits the
-// task needs the next pick, which the loop makes: a run of such tasks on one
-// CPU costs no events and no recursion. After a yield the next dispatch
-// steps through the exec event instead, so tasks that yield to each other
-// let the instant's other events run in between.
+// wakeup resumes it there), so its body steps at the dispatch instant, inside
+// the dispatching event, with no exec event of its own. A step that blocks,
+// sleeps or exits the task needs the next pick, which the loop makes: a run
+// of such tasks on one CPU costs no events and no recursion. After a yield
+// the next dispatch steps through the exec event instead, so tasks that
+// yield to each other let the instant's other events run in between.
 void Kernel::schedule_cpu(CpuId cpu, bool step_at_dispatch) {
   for (;;) {
     Task* next = dispatch(cpu);

@@ -249,9 +249,7 @@ TEST(Tick, BodyStepsAtItsDispatchInstant) {
   });
   f.run_until(Duration::microseconds(700));
   // The resched dispatches the task and runs its body in the same event, so
-  // the step lands before the event armed after the wakeup. The step used
-  // to wait for a zero-delay exec event armed at dispatch, which sorted
-  // after it.
+  // the step lands before the event armed after the wakeup.
   const std::vector<Entry> want = {{SimTime::zero(), "step", kInvalidCpu},
                                    {at, "step", kInvalidCpu},
                                    {at, "armed_after_wake", kInvalidCpu}};
