@@ -1,6 +1,8 @@
 #pragma once
 // CSV export of trace data: state intervals, per-iteration utilization
-// series (the data behind Figures 3-6) and priority timelines.
+// series (the data behind Figures 3-6) and priority timelines. Fields are
+// formatted by trace::TextOut (integers in decimal, doubles as "%.6g"),
+// whatever the stream's format flags.
 
 #include <ostream>
 #include <string>

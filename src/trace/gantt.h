@@ -18,6 +18,8 @@ struct GanttOptions {
 };
 
 /// Render the tasks (in the given order, with labels) over the time window.
+/// Fails a check when `width` < 1 or the window is shorter than `width` ns.
+/// Costs O(intervals + priority events + width) per task.
 [[nodiscard]] std::string render_gantt(const Tracer& tracer, const std::vector<Pid>& pids,
                                        const std::vector<std::string>& labels,
                                        const GanttOptions& opt = {});

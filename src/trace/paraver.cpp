@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "common/check.h"
+#include "trace/text_out.h"
 
 namespace hpcs::trace {
 namespace {
@@ -20,18 +21,20 @@ SimTime auto_end(const Tracer& tracer, const std::vector<Pid>& pids) {
 
 void write_prv(std::ostream& os, const Tracer& tracer, const ParaverJob& job) {
   HPCS_CHECK(job.pids.size() == job.labels.size());
+  HPCS_CHECK_MSG(job.cpus > 0, "ParaverJob::cpus must be at least 1");
   const SimTime end = job.end > SimTime::zero() ? job.end : auto_end(tracer, job.pids);
+  TextOut out(os);
 
   // Header: #Paraver (dd/mm/yy at hh:mm):ftime:nNodes(nCpus):nAppl:
   //         applId(nTasks(threads:node,...))
   // Timestamps are nanoseconds since simulation start (deterministic — no
   // wall-clock, so the date field is fixed).
-  os << "#Paraver (01/01/08 at 00:00):" << end.ns() << "_ns:1(" << job.cpus << "):1:"
-     << job.pids.size() << "(";
+  out << "#Paraver (01/01/08 at 00:00):" << end.ns() << "_ns:1(" << job.cpus << "):1:"
+      << job.pids.size() << "(";
   for (std::size_t i = 0; i < job.pids.size(); ++i) {
-    os << (i == 0 ? "" : ",") << "1:1";
+    out << (i == 0 ? "" : ",") << "1:1";
   }
-  os << ")\n";
+  out << ")\n";
 
   // State records, one line per interval:
   //   1:cpu:appl:task:thread:begin:end:state
@@ -43,14 +46,15 @@ void write_prv(std::ostream& os, const Tracer& tracer, const ParaverJob& job) {
     for (const Interval& iv : tracer.intervals(job.pids[i])) {
       const int state =
           iv.activity == Activity::kCompute ? kPrvStateRunning : kPrvStateWaiting;
-      os << "1:" << cpu << ":1:" << task << ":1:" << iv.begin.ns() << ':' << iv.end.ns()
-         << ':' << state << '\n';
+      out << "1:" << cpu << ":1:" << task << ":1:" << iv.begin.ns() << ':' << iv.end.ns()
+          << ':' << state << '\n';
     }
     for (const PrioEvent& e : tracer.prio_events(job.pids[i])) {
-      os << "2:" << cpu << ":1:" << task << ":1:" << e.when.ns() << ':' << kPrvEventHwPrio
-         << ':' << e.prio << '\n';
+      out << "2:" << cpu << ":1:" << task << ":1:" << e.when.ns() << ':' << kPrvEventHwPrio
+          << ':' << e.prio << '\n';
     }
   }
+  out.flush();
 }
 
 void write_pcf(std::ostream& os) {

@@ -32,7 +32,8 @@ struct ParaverJob {
   std::string application = "hpcsched";
 };
 
-/// Write the .prv trace body for the given tasks.
+/// Write the .prv trace body for the given tasks (numbers formatted by
+/// trace::TextOut, whatever the stream's format flags).
 void write_prv(std::ostream& os, const Tracer& tracer, const ParaverJob& job);
 
 /// Write the .pcf semantic configuration.

@@ -23,6 +23,7 @@ Tracer::PerTask& Tracer::slot(const kern::Task& task, SimTime t) {
 void Tracer::on_state(SimTime t, const kern::Task& task, kern::TaskState new_state) {
   PerTask& p = slot(task, t);
   if (p.exited) return;
+  HPCS_CHECK_MSG(t >= p.open_since, "trace state changes must arrive in time order");
   const Activity next = new_state == kern::TaskState::kRunnable ? Activity::kCompute
                                                                 : Activity::kWait;
   if (p.has_open && next == p.open_activity && new_state != kern::TaskState::kExited) return;
@@ -39,7 +40,10 @@ void Tracer::on_state(SimTime t, const kern::Task& task, kern::TaskState new_sta
 }
 
 void Tracer::on_hw_prio(SimTime t, const kern::Task& task, p5::HwPrio prio) {
-  slot(task, t).prios.push_back(PrioEvent{t, p5::to_int(prio)});
+  std::vector<PrioEvent>& prios = slot(task, t).prios;
+  HPCS_CHECK_MSG(prios.empty() || t >= prios.back().when,
+                 "trace priority events must arrive in time order");
+  prios.push_back(PrioEvent{t, p5::to_int(prio)});
 }
 
 void Tracer::on_iteration(SimTime t, const kern::Task& task, int iteration, double util_last,
@@ -55,6 +59,7 @@ void Tracer::finalize(SimTime end) {
   for (auto& [pid, p] : tasks_) {
     if (p.has_open && end > p.open_since) {
       p.intervals.push_back(Interval{p.open_since, end, p.open_activity});
+      p.open_since = end;
       p.has_open = false;
     }
   }

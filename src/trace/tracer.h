@@ -48,6 +48,9 @@ class Tracer final : public kern::TraceSink {
   /// Close all open intervals at `end`.
   void finalize(SimTime end);
 
+  /// A task's intervals and priority events, in time order; intervals do
+  /// not overlap. Events must arrive in time order (checked): the writers
+  /// and the Gantt sweep rely on it.
   [[nodiscard]] const std::vector<Interval>& intervals(Pid pid) const;
   [[nodiscard]] const std::vector<PrioEvent>& prio_events(Pid pid) const;
   [[nodiscard]] const std::vector<IterationEvent>& iteration_events(Pid pid) const;
